@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"snappif/internal/core"
+	"snappif/internal/engine"
 	"snappif/internal/exp"
 	"snappif/internal/graph"
 	"snappif/internal/sim"
@@ -73,7 +74,7 @@ func measureSim(g *graph.Graph, d sim.Daemon, steps int) (benchCell, error) {
 	return benchCell{
 		Topology:      g.Name(),
 		N:             g.N(),
-		Engine:        "generic",
+		Engine:        engine.Sim,
 		Daemon:        d.Name(),
 		Steps:         steps,
 		NsPerStep:     float64(elapsed.Nanoseconds()) / fs,

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	pifexp [-quick] [-trials N] [-seed S] [-only E4[,E7]] [-md] [-parallel]
-//	       [-engine generic|flat|event] [-latency DIST] [-parallel-sweep W]
+//	       [-engine sim|flat|event] [-latency DIST]
 //	       [-bench FILE] [-scale FILE]
 //	       [-telemetry] [-spans FILE] [-flight FILE]
 //	       [-http ADDR] [-cpuprofile FILE] [-memprofile FILE]
@@ -15,23 +15,22 @@
 // -parallel fans both the experiments and their table cells across
 // GOMAXPROCS workers; every cell derives its randomness from its own seed,
 // so stdout is byte-identical to a serial run (timing goes to stderr).
-// -engine=flat runs the cycle-based experiments on the struct-of-arrays
+// -only with an unknown ID and -engine with an unknown name fail before any
+// experiment runs. -engine=flat runs the cycle-based experiments on the struct-of-arrays
 // kernel (internal/flat); -engine=event runs them on the discrete-event
 // scheduler (internal/event). The engines are bit-identical, so the tables
-// do not change — only the wall clock does. -parallel-sweep W additionally
-// shards the flat engine's guard sweep over W workers (still
-// bit-identical; see DESIGN.md §9). -latency DIST (event engine only)
+// do not change — only the wall clock does. -latency DIST (event engine only)
 // switches to asynchronous message-latency scheduling with the named
 // per-link distribution — const:K, uniform:LO-HI, or pareto:a=A,cap=C —
 // replacing the daemon; telemetry steps and span timestamps are then in
 // virtual time (see DESIGN.md §12).
 // -bench additionally measures the simulation hot path and writes a JSON
 // report (steps/sec, allocs/step) to the given file. -scale measures the
-// large-N grid — N up to 10^6 on line/ring/grid/random topologies, generic
-// vs flat vs sharded vs event — and writes the BENCH_scale JSON report.
+// large-N grid — N up to 10^6 on line/ring/grid/random topologies, sim vs
+// flat vs event — and writes the BENCH_scale JSON report.
 //
 // -telemetry turns on the large-N observability layer (internal/telemetry):
-// sharded counters, wave-latency histograms, and the sampled time series,
+// counters, wave-latency histograms, and the sampled time series,
 // all published under /debug/vars and summarized on stderr at exit. -spans
 // additionally writes the causal wave spans as Chrome trace_event JSON that
 // loads in Perfetto (or chrome://tracing); -flight keeps the flight
@@ -59,11 +58,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"snappif/internal/engine"
 	"snappif/internal/event"
 	"snappif/internal/exp"
 	"snappif/internal/obs"
@@ -88,12 +89,11 @@ func run(args []string, out io.Writer) (err error) {
 		markdown = fs.Bool("md", false, "emit tables as markdown")
 		csvDir   = fs.String("csv", "", "also write each table as <dir>/<id>.csv")
 		parallel = fs.Bool("parallel", false, "fan experiments and table cells across GOMAXPROCS workers (stdout identical to serial)")
-		engine   = fs.String("engine", "generic", "simulation engine for the cycle-based experiments: generic, flat, or event (tables are byte-identical; flat is the large-N SoA kernel, event the discrete-event scheduler)")
+		engName  = fs.String("engine", engine.Sim, "simulation engine for the cycle-based experiments: "+engine.List+" (tables are byte-identical; flat is the large-N SoA kernel, event the discrete-event scheduler)")
 		latency  = fs.String("latency", "", "event engine only: per-link latency distribution (const:K, uniform:LO-HI, pareto:a=A,cap=C); replaces the daemon with asynchronous virtual-time scheduling")
-		sweepW   = fs.Int("parallel-sweep", 0, "flat engine only: worker count for the parallel sharded guard sweep (0 or 1 = serial; bit-identical either way)")
 		bench    = fs.String("bench", "", "measure the simulation hot path and write a JSON report to this file")
-		scale    = fs.String("scale", "", "measure the large-N scaling grid (generic vs flat vs sharded) and write a BENCH_scale JSON report to this file")
-		telem    = fs.Bool("telemetry", false, "enable the aggregating telemetry layer (sharded counters, wave histograms, sampled time series); published at /debug/vars, summarized on stderr")
+		scale    = fs.String("scale", "", "measure the large-N scaling grid (sim vs flat vs event) and write a BENCH_scale JSON report to this file")
+		telem    = fs.Bool("telemetry", false, "enable the aggregating telemetry layer (counters, wave histograms, sampled time series); published at /debug/vars, summarized on stderr")
 		spansOut = fs.String("spans", "", "write causal wave spans as Chrome trace_event JSON (Perfetto-loadable) to this file; implies -telemetry, serial runs only")
 		flightTo = fs.String("flight", "", "run the flight recorder and dump its last window as a replayable pifhunt scenario (JSON) to this file; implies -telemetry, serial runs only")
 		httpAddr = fs.String("http", "", "serve /debug/vars, /healthz, and /debug/pprof on this address while running (e.g. localhost:6060)")
@@ -101,6 +101,13 @@ func run(args []string, out io.Writer) (err error) {
 		memProf  = fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := engine.Validate(*engName); err != nil {
+		return fmt.Errorf("-engine: %w", err)
+	}
+	selected, err := selectExperiments(*only)
+	if err != nil {
 		return err
 	}
 
@@ -143,8 +150,8 @@ func run(args []string, out io.Writer) (err error) {
 		}()
 	}
 	if *latency != "" {
-		if *engine != "event" {
-			return fmt.Errorf("-latency requires -engine=event (got -engine=%s)", *engine)
+		if *engName != engine.Event {
+			return fmt.Errorf("-latency requires -engine=event (got -engine=%s)", *engName)
 		}
 		if _, lerr := event.ParseLatency(*latency); lerr != nil {
 			return lerr
@@ -152,7 +159,7 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	metrics := obs.NewRegistry()
 	metrics.Publish("snappif")
-	stampMeta(metrics, *engine, *latency, *seed, *quick, *sweepW)
+	stampMeta(metrics, *engName, *latency, *seed, *quick)
 
 	var tel *telemetry.Telemetry
 	var vclock *event.VirtualClock
@@ -194,34 +201,18 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Fprintf(os.Stderr, "pifexp: serving /debug/vars, /healthz, and /debug/pprof on %s\n", *httpAddr)
 	}
 
-	want := make(map[string]bool)
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[strings.ToUpper(id)] = true
-		}
-	}
-
 	timings := &trace.Timings{}
 	opt := exp.Options{
-		Quick:        *quick,
-		Trials:       *trials,
-		Seed:         *seed,
-		Parallel:     *parallel,
-		Timings:      timings,
-		Metrics:      metrics,
-		Engine:       *engine,
-		Latency:      *latency,
-		VClock:       vclock,
-		SweepWorkers: *sweepW,
-		Telemetry:    tel,
-	}
-
-	var selected []exp.Experiment
-	for _, e := range exp.All() {
-		if len(want) > 0 && !want[e.ID] {
-			continue
-		}
-		selected = append(selected, e)
+		Quick:     *quick,
+		Trials:    *trials,
+		Seed:      *seed,
+		Parallel:  *parallel,
+		Timings:   timings,
+		Metrics:   metrics,
+		Engine:    *engName,
+		Latency:   *latency,
+		VClock:    vclock,
+		Telemetry: tel,
 	}
 
 	// Each experiment renders into its own buffer; buffers are flushed to
@@ -331,7 +322,7 @@ func run(args []string, out io.Writer) (err error) {
 // stampMeta registers the run-identifying meta.* Text variables, so
 // /debug/vars (and /healthz) answer "what is this process running" without
 // grepping logs.
-func stampMeta(reg *obs.Registry, engine, latency string, seed int64, quick bool, sweepW int) {
+func stampMeta(reg *obs.Registry, engine, latency string, seed int64, quick bool) {
 	suite := "full"
 	if quick {
 		suite = "quick"
@@ -345,10 +336,44 @@ func stampMeta(reg *obs.Registry, engine, latency string, seed int64, quick bool
 	stamp("meta.latency", latency)
 	stamp("meta.seed", fmt.Sprint(seed))
 	stamp("meta.topology_suite", suite)
-	stamp("meta.sweep_workers", fmt.Sprint(sweepW))
 	stamp("meta.go", runtime.Version())
 	//snapvet:ok run timestamp in the artifact metadata; never feeds engine state
 	stamp("meta.started", time.Now().UTC().Format(time.RFC3339))
+}
+
+// selectExperiments resolves the -only list (comma-separated IDs, any case)
+// to registry entries in registry order; empty selects every experiment.
+// An unknown ID is an error naming it and listing the valid ones.
+func selectExperiments(only string) ([]exp.Experiment, error) {
+	all := exp.All()
+	valid := make([]string, len(all))
+	for i, e := range all {
+		valid[i] = e.ID
+	}
+	want := make(map[string]bool)
+	var unknown []string
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.ToUpper(strings.TrimSpace(id)); id != "" {
+			want[id] = true
+			if !slices.Contains(valid, id) {
+				unknown = append(unknown, id)
+			}
+		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("-only: unknown experiment %s (valid: %s)",
+			strings.Join(unknown, ", "), strings.Join(valid, ", "))
+	}
+	if len(want) == 0 {
+		return all, nil
+	}
+	var selected []exp.Experiment
+	for _, e := range all {
+		if want[e.ID] {
+			selected = append(selected, e)
+		}
+	}
+	return selected, nil
 }
 
 // healthz registration is once-guarded because run() is re-entered by tests

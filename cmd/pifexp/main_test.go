@@ -64,6 +64,24 @@ func TestRunWritesCSV(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownOnly: an unknown -only ID fails the run before any
+// experiment starts, naming the ID and listing the valid ones.
+func TestRunRejectsUnknownOnly(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-quick", "-trials", "1", "-only", "E1,e99"}, &out)
+	if err == nil {
+		t.Fatal("-only E99 accepted")
+	}
+	for _, want := range []string{"E99", "E1", "H1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	if out.Len() != 0 {
+		t.Fatalf("experiments ran despite the unknown ID:\n%s", out.String())
+	}
+}
+
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-definitely-not-a-flag"}, &out); err == nil {

@@ -10,24 +10,18 @@ import (
 	"time"
 
 	"snappif/internal/core"
-	"snappif/internal/event"
+	"snappif/internal/engine"
 	"snappif/internal/exp"
-	"snappif/internal/flat"
 	"snappif/internal/graph"
 	"snappif/internal/sim"
 )
 
 // scaleCell is one measured (topology, N, engine) point of the scaling
-// grid. SweepWorkers is 0 for the generic engine and the flat serial mode;
-// the sharded mode records its worker count, so a reader can tell which
-// numbers were taken on a single-core box (compare against gomaxprocs in
-// the report header — with GOMAXPROCS=1 the sharded cells measure pool
-// overhead, not speedup).
+// grid.
 type scaleCell struct {
 	Topology      string  `json:"topology"`
 	N             int     `json:"n"`
 	Engine        string  `json:"engine"`
-	SweepWorkers  int     `json:"sweep_workers,omitempty"`
 	Daemon        string  `json:"daemon"`
 	Steps         int     `json:"steps"`
 	NsPerStep     float64 `json:"ns_per_step"`
@@ -51,22 +45,22 @@ type scaleReport struct {
 }
 
 // scalePoint is one N of the grid: the measured step count shrinks as N
-// grows so the whole grid stays minutes, not hours; genericOK gates the
-// interface-based engine out of the sizes where a single cell would take
-// longer than the rest of the grid combined.
+// grows so the whole grid stays minutes, not hours; simOK gates the
+// interface-based sim engine out of the sizes where a single cell would
+// take longer than the rest of the grid combined.
 type scalePoint struct {
-	n         int
-	warmup    int
-	steps     int
-	genericOK bool
+	n      int
+	warmup int
+	steps  int
+	simOK  bool
 }
 
 var scalePoints = []scalePoint{
-	{n: 64, warmup: 2000, steps: 50_000, genericOK: true},
-	{n: 1_000, warmup: 2000, steps: 20_000, genericOK: true},
-	{n: 10_000, warmup: 1000, steps: 5_000, genericOK: true},
-	{n: 100_000, warmup: 300, steps: 1_000, genericOK: false},
-	{n: 1_000_000, warmup: 100, steps: 300, genericOK: false},
+	{n: 64, warmup: 2000, steps: 50_000, simOK: true},
+	{n: 1_000, warmup: 2000, steps: 20_000, simOK: true},
+	{n: 10_000, warmup: 1000, steps: 5_000, simOK: true},
+	{n: 100_000, warmup: 300, steps: 1_000, simOK: false},
+	{n: 1_000_000, warmup: 100, steps: 300, simOK: false},
 }
 
 // scaleTopologies builds the four topology families at size n. The random
@@ -92,36 +86,15 @@ func scaleTopologies(n int, seed int64) ([]*graph.Graph, error) {
 	return out, nil
 }
 
-// stepper abstracts the two engines' stepping loops for measurement.
-type stepper interface {
-	Step() (bool, error)
-	Moves() int
-}
-
-type genericStepper struct{ r *sim.Runner }
-
-func (s genericStepper) Step() (bool, error) { return s.r.Step() }
-func (s genericStepper) Moves() int          { return s.r.Result().Moves }
-
-type flatStepper struct{ r *flat.Runner }
-
-func (s flatStepper) Step() (bool, error) { return s.r.Step() }
-func (s flatStepper) Moves() int          { return s.r.Result().Moves }
-
-type eventStepper struct{ r *event.Runner }
-
-func (s eventStepper) Step() (bool, error) { return s.r.Step() }
-func (s eventStepper) Moves() int          { return s.r.Result().Moves }
-
-// measureStepper warms a stepper and measures ns/step, steps/sec,
+// measureStepper warms a runner and measures ns/step, steps/sec,
 // moves/step, and allocs/step over the given number of committed steps.
-func measureStepper(s stepper, warmup, steps int) (ns, sps, mps, aps float64, err error) {
+func measureStepper(s sim.Stepper, warmup, steps int) (ns, sps, mps, aps float64, err error) {
 	for i := 0; i < warmup; i++ {
 		if done, err := s.Step(); done {
 			return 0, 0, 0, 0, fmt.Errorf("scale: run ended during warm-up: %v", err)
 		}
 	}
-	movesBefore := s.Moves()
+	movesBefore := s.Result().Moves
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
@@ -138,85 +111,43 @@ func measureStepper(s stepper, warmup, steps int) (ns, sps, mps, aps float64, er
 	fs := float64(steps)
 	return float64(elapsed.Nanoseconds()) / fs,
 		fs / elapsed.Seconds(),
-		float64(s.Moves()-movesBefore) / fs,
+		float64(s.Result().Moves-movesBefore) / fs,
 		float64(m1.Mallocs-m0.Mallocs) / fs,
 		nil
 }
 
-// measureScaleCell measures one engine on one graph. engine is "generic",
-// "flat", "flat-sharded", or "event"; workers only applies to the sharded
-// mode.
-func measureScaleCell(g *graph.Graph, engine string, workers int, pt scalePoint, seed int64) (scaleCell, error) {
+// measureScaleCell measures one engine on one graph from the clean start.
+func measureScaleCell(g *graph.Graph, eng string, pt scalePoint, seed int64) (scaleCell, error) {
 	pr, err := core.New(g, 0)
 	if err != nil {
 		return scaleCell{}, err
 	}
-	d := sim.Synchronous{}
-	simOpts := sim.Options{Seed: seed, MaxSteps: pt.warmup + pt.steps + 1}
-	var s stepper
-	var closer interface{ Close() }
-	switch engine {
-	case "generic":
-		cfg := sim.NewConfiguration(g, pr)
-		s = genericStepper{r: sim.NewRunner(cfg, pr, d, simOpts)}
-	case "flat", "flat-sharded":
-		kern, err := flat.FromCore(pr)
-		if err != nil {
-			return scaleCell{}, err
-		}
-		fc, err := flat.NewConfig(kern)
-		if err != nil {
-			return scaleCell{}, err
-		}
-		fopts := flat.Options{Options: simOpts}
-		if engine == "flat-sharded" {
-			fopts.SweepWorkers = workers
-			fopts.MinSweep = 1
-		}
-		fr, err := flat.NewRunner(fc, kern, d, fopts)
-		if err != nil {
-			return scaleCell{}, err
-		}
-		s, closer = flatStepper{r: fr}, fr
-	case "event":
-		kern, err := flat.FromCore(pr)
-		if err != nil {
-			return scaleCell{}, err
-		}
-		fc, err := flat.NewConfig(kern)
-		if err != nil {
-			return scaleCell{}, err
-		}
-		er, err := event.NewRunner(fc, kern, d, event.Options{Options: simOpts})
-		if err != nil {
-			return scaleCell{}, err
-		}
-		s, closer = eventStepper{r: er}, er
-	default:
-		return scaleCell{}, fmt.Errorf("scale: unknown engine %q", engine)
-	}
-	ns, sps, mps, aps, err := measureStepper(s, pt.warmup, pt.steps)
-	if closer != nil {
-		closer.Close()
-	}
+	return measureCell(engine.Spec{Engine: eng, Proto: pr, Graph: g}, g.Name(), g.N(), pt.warmup, pt.steps, seed)
+}
+
+// measureCell runs spec under the synchronous daemon and measures it.
+func measureCell(spec engine.Spec, topology string, n, warmup, steps int, seed int64) (scaleCell, error) {
+	spec.Daemon = sim.Synchronous{}
+	spec.Options = sim.Options{Seed: seed, MaxSteps: warmup + steps + 1}
+	r, err := engine.New(spec)
 	if err != nil {
-		return scaleCell{}, fmt.Errorf("%s/%s/N=%d: %w", engine, g.Name(), g.N(), err)
+		return scaleCell{}, err
 	}
-	cell := scaleCell{
-		Topology:      g.Name(),
-		N:             g.N(),
-		Engine:        engine,
-		Daemon:        d.Name(),
-		Steps:         pt.steps,
+	ns, sps, mps, aps, err := measureStepper(r, warmup, steps)
+	if err != nil {
+		return scaleCell{}, fmt.Errorf("%s/%s/N=%d: %w", spec.Engine, topology, n, err)
+	}
+	return scaleCell{
+		Topology:      topology,
+		N:             n,
+		Engine:        spec.Engine,
+		Daemon:        spec.Daemon.Name(),
+		Steps:         steps,
 		NsPerStep:     ns,
 		StepsPerSec:   sps,
 		MovesPerStep:  mps,
 		AllocsPerStep: aps,
-	}
-	if engine == "flat-sharded" {
-		cell.SweepWorkers = workers
-	}
-	return cell, nil
+	}, nil
 }
 
 // frontierPoints sizes the cleaning-frontier cells: the regime the event
@@ -232,18 +163,18 @@ var frontierPoints = []frontierPoint{
 	{n: 1_000_000, warmup: 100, steps: 300},
 }
 
-// loadFrontier scatters a mid-cleaning-wave configuration of a line into
-// fc: processors 0..front carry the feedback tail of a completed wave
-// (chain tree, Fok raised), processors past front are already clean. The
-// guards admit exactly one move — Cleaning(front) — and each C-action
-// hands the frontier to front−1, so every committed step has one enabled
-// processor, one move, and (under the synchronous daemon) one round. That
-// makes the cell a pure measurement of per-step overhead that scales with
-// N: the flat engines pay the Θ(N/64) pending-bitset copy at every round
-// boundary, while the event engine's epoch accounting touches only the
-// frontier.
-func loadFrontier(fc *flat.Config, n, front int) {
-	for p := 0; p < n; p++ {
+// frontierConfig builds a mid-cleaning-wave configuration of a line:
+// processors 0..front carry the feedback tail of a completed wave (chain
+// tree, Fok raised), processors past front are already clean. The guards
+// admit exactly one move — Cleaning(front) — and each C-action hands the
+// frontier to front−1, so every committed step has one enabled processor,
+// one move, and (under the synchronous daemon) one round. That makes the
+// cell a pure measurement of per-step overhead that scales with N: the flat
+// engine pays the Θ(N/64) pending-bitset copy at every round boundary,
+// while the event engine's epoch accounting touches only the frontier.
+func frontierConfig(g *graph.Graph, pr *core.Protocol, front int) *sim.Configuration {
+	cfg := sim.NewConfiguration(g, pr)
+	for p := 0; p < g.N(); p++ {
 		s := core.State{Pif: core.C, Par: p - 1, L: p}
 		if p == 0 {
 			s.Par = core.ParNone
@@ -254,13 +185,14 @@ func loadFrontier(fc *flat.Config, n, front int) {
 			s.Count = 1
 			s.Msg = 1
 		}
-		fc.SetState(p, s)
+		*(cfg.States[p].(*core.State)) = s
 	}
+	return cfg
 }
 
-// measureFrontierCell measures one flat-kernel engine ("flat",
-// "flat-sharded", or "event") on the mid-cleaning-wave line of size n.
-func measureFrontierCell(fp frontierPoint, engine string, workers int, seed int64) (scaleCell, error) {
+// measureFrontierCell measures one flat-kernel engine ("flat" or "event")
+// on the mid-cleaning-wave line of size n.
+func measureFrontierCell(fp frontierPoint, eng string, seed int64) (scaleCell, error) {
 	g, err := graph.Line(fp.n)
 	if err != nil {
 		return scaleCell{}, err
@@ -269,74 +201,15 @@ func measureFrontierCell(fp frontierPoint, engine string, workers int, seed int6
 	if err != nil {
 		return scaleCell{}, err
 	}
-	kern, err := flat.FromCore(pr)
-	if err != nil {
-		return scaleCell{}, err
-	}
-	fc, err := flat.NewConfig(kern)
-	if err != nil {
-		return scaleCell{}, err
-	}
 	// The frontier retreats one processor per committed step; +8 keeps the
 	// run from draining (and the root from re-broadcasting) inside the
 	// measured window.
-	loadFrontier(fc, fp.n, fp.warmup+fp.steps+8)
-	d := sim.Synchronous{}
-	simOpts := sim.Options{Seed: seed, MaxSteps: fp.warmup + fp.steps + 1}
-	var s stepper
-	var closer interface{ Close() }
-	switch engine {
-	case "flat", "flat-sharded":
-		fopts := flat.Options{Options: simOpts}
-		if engine == "flat-sharded" {
-			fopts.SweepWorkers = workers
-			fopts.MinSweep = 1
-		}
-		fr, err := flat.NewRunner(fc, kern, d, fopts)
-		if err != nil {
-			return scaleCell{}, err
-		}
-		s, closer = flatStepper{r: fr}, fr
-	case "event":
-		er, err := event.NewRunner(fc, kern, d, event.Options{Options: simOpts})
-		if err != nil {
-			return scaleCell{}, err
-		}
-		s, closer = eventStepper{r: er}, er
-	default:
-		return scaleCell{}, fmt.Errorf("scale: unknown frontier engine %q", engine)
-	}
-	ns, sps, mps, aps, err := measureStepper(s, fp.warmup, fp.steps)
-	closer.Close()
-	if err != nil {
-		return scaleCell{}, fmt.Errorf("%s/line-frontier/N=%d: %w", engine, fp.n, err)
-	}
-	cell := scaleCell{
-		Topology:      "line-frontier",
-		N:             fp.n,
-		Engine:        engine,
-		Daemon:        d.Name(),
-		Steps:         fp.steps,
-		NsPerStep:     ns,
-		StepsPerSec:   sps,
-		MovesPerStep:  mps,
-		AllocsPerStep: aps,
-	}
-	if engine == "flat-sharded" {
-		cell.SweepWorkers = workers
-	}
-	return cell, nil
+	cfg := frontierConfig(g, pr, fp.warmup+fp.steps+8)
+	return measureCell(engine.Spec{Engine: eng, Proto: pr, Config: cfg}, "line-frontier", fp.n, fp.warmup, fp.steps, seed)
 }
 
 // writeScale measures the full scaling grid and writes BENCH_scale.json.
-// The sharded sweep runs with GOMAXPROCS workers (minimum 2, so the pool
-// machinery is exercised even on a single-core box) at N ≥ 10k, where a
-// sweep is large enough to amortize the handoff.
 func writeScale(path string, seed int64) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
 	commit, err := exp.VCSCommit()
 	if err != nil {
 		return err
@@ -354,16 +227,12 @@ func writeScale(path string, seed int64) error {
 			return err
 		}
 		for _, g := range tops {
-			engines := []string{"flat"}
-			if pt.genericOK {
-				engines = append([]string{"generic"}, engines...)
+			engines := engine.Names()
+			if !pt.simOK {
+				engines = []string{engine.Flat, engine.Event}
 			}
-			if pt.n >= 10_000 {
-				engines = append(engines, "flat-sharded")
-			}
-			engines = append(engines, "event")
 			for _, eng := range engines {
-				cell, err := measureScaleCell(g, eng, workers, pt, seed)
+				cell, err := measureScaleCell(g, eng, pt, seed)
 				if err != nil {
 					return err
 				}
@@ -374,8 +243,8 @@ func writeScale(path string, seed int64) error {
 		}
 	}
 	for _, fp := range frontierPoints {
-		for _, eng := range []string{"flat", "flat-sharded", "event"} {
-			cell, err := measureFrontierCell(fp, eng, workers, seed)
+		for _, eng := range []string{engine.Flat, engine.Event} {
+			cell, err := measureFrontierCell(fp, eng, seed)
 			if err != nil {
 				return err
 			}

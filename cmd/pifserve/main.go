@@ -26,6 +26,7 @@ import (
 	"strconv"
 	"strings"
 
+	"snappif/internal/engine"
 	"snappif/internal/event"
 	"snappif/internal/graph"
 	"snappif/internal/service"
@@ -69,7 +70,6 @@ type serveFlags struct {
 	mix        *string
 	seed       *int64
 	maxTicks   *int64
-	sweepW     *int
 }
 
 func newServeFlags(name string) *serveFlags {
@@ -77,7 +77,7 @@ func newServeFlags(name string) *serveFlags {
 	return &serveFlags{
 		fs:         fs,
 		topo:       fs.String("topo", "ring:32", "topology spec (line/ring/star/complete/hypercube/btree:N or grid:RxC)"),
-		engine:     fs.String("engine", "flat", "execution engine: sim, flat, or event"),
+		engine:     fs.String("engine", engine.Flat, "execution engine: "+engine.List),
 		latency:    fs.String("latency", "", "event engine link-latency distribution (const:K, uniform:LO-HI, pareto:a=A,cap=C)"),
 		initiators: fs.String("initiators", "0", "comma-separated lane roots (pipeline depth = lane count)"),
 		faults:     fs.String("faults", "", "comma-separated per-lane fault injectors for the start states"),
@@ -87,7 +87,6 @@ func newServeFlags(name string) *serveFlags {
 		mix:        fs.String("mix", "", "request-kind mix as kind=weight,... (default uniform over "+strings.Join(service.Kinds(), ",")+")"),
 		seed:       fs.Int64("seed", 1, "workload and lane seed"),
 		maxTicks:   fs.Int64("max-ticks", 0, "virtual-clock bound (0 = default)"),
-		sweepW:     fs.Int("parallel-sweep", 0, "flat engine guard-sweep workers (bit-identical at any count)"),
 	}
 }
 
@@ -116,14 +115,13 @@ func (sf *serveFlags) build() (service.Options, []service.Arrival, error) {
 		return service.Options{}, nil, err
 	}
 	opts := service.Options{
-		Graph:        g,
-		Engine:       *sf.engine,
-		Latency:      lat,
-		Initiators:   initiators,
-		Faults:       faults,
-		Seed:         *sf.seed,
-		MaxTicks:     *sf.maxTicks,
-		SweepWorkers: *sf.sweepW,
+		Graph:      g,
+		Engine:     *sf.engine,
+		Latency:    lat,
+		Initiators: initiators,
+		Faults:     faults,
+		Seed:       *sf.seed,
+		MaxTicks:   *sf.maxTicks,
 	}
 	w := service.Workload{
 		Process:  *sf.process,

@@ -15,7 +15,9 @@ import (
 // comment (the analyzer's own testdata does).
 var detrangePackages = map[string]bool{
 	"internal/sim":     true,
+	"internal/bitset":  true,
 	"internal/core":    true,
+	"internal/engine":  true,
 	"internal/event":   true,
 	"internal/exp":     true,
 	"internal/explore": true,

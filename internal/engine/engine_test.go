@@ -1,0 +1,281 @@
+package engine_test
+
+import (
+	"errors"
+	"reflect"
+	"strings"
+	"testing"
+
+	"snappif/internal/core"
+	"snappif/internal/engine"
+	"snappif/internal/event"
+	"snappif/internal/graph"
+	"snappif/internal/hunt"
+	"snappif/internal/sim"
+	"snappif/internal/telemetry"
+)
+
+func ring(t testing.TB, n int) *graph.Graph {
+	t.Helper()
+	g, err := graph.Ring(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestEveryNameBuildsAndSteps: each engine name builds a runner on ring:8
+// through New, steps it, and agrees with the others on the result (the
+// engines are bit-identical under an external daemon). Unknown names —
+// "generic", the sim engine's old name, included — fail with an error that
+// lists every valid name.
+func TestEveryNameBuildsAndSteps(t *testing.T) {
+	g := ring(t, 8)
+	var wantRes *sim.Result
+	var wantStates []core.State
+	for _, name := range engine.Names() {
+		if err := engine.Validate(name); err != nil {
+			t.Fatal(err)
+		}
+		r, err := engine.New(engine.Spec{
+			Engine:  name,
+			Proto:   core.MustNew(g, 0),
+			Graph:   g,
+			Daemon:  sim.DistributedRandom{P: 0.5},
+			Options: sim.Options{Seed: 3, MaxSteps: 200},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.EnabledCount() != 1 || r.EnabledAction(0) != core.ActionB || r.EnabledAction(1) != -1 {
+			t.Fatalf("%s: clean start has %d enabled, root action %d", name, r.EnabledCount(), r.EnabledAction(0))
+		}
+		for i := 0; i < 50; i++ {
+			if done, err := r.Step(); done {
+				t.Fatalf("%s: run ended at step %d: %v", name, i, err)
+			}
+		}
+		res := r.Result()
+		res.Final = nil // flat and event materialize it only at the end
+		states := make([]core.State, g.N())
+		for p := range states {
+			states[p] = r.State(p)
+		}
+		if wantRes == nil {
+			wantRes, wantStates = &res, states
+			continue
+		}
+		if !reflect.DeepEqual(*wantRes, res) {
+			t.Fatalf("%s: result %+v differs from %s's %+v", name, res, engine.Sim, *wantRes)
+		}
+		if !reflect.DeepEqual(wantStates, states) {
+			t.Fatalf("%s: states %+v differ from %s's %+v", name, states, engine.Sim, wantStates)
+		}
+	}
+	for _, bad := range []string{"generic", "", "flat-sharded", "Sim"} {
+		err := engine.Validate(bad)
+		if err == nil {
+			t.Fatalf("Validate(%q) accepted", bad)
+		}
+		for _, name := range engine.Names() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("Validate(%q) error %q does not list %q", bad, err, name)
+			}
+		}
+		if _, err := engine.New(engine.Spec{Engine: bad, Proto: core.MustNew(g, 0), Graph: g, Daemon: sim.Synchronous{}}); err == nil {
+			t.Fatalf("New accepted engine %q", bad)
+		}
+	}
+}
+
+// TestRunAgreesAcrossEngines: Run drives every engine to the same stop,
+// including event in latency mode (a different schedule, still a
+// legal run) and sim with telemetry wired through its observer.
+func TestRunAgreesAcrossEngines(t *testing.T) {
+	g := ring(t, 8)
+	stop := func(rs *sim.RunState) bool { return rs.Steps >= 40 }
+	var first sim.Result
+	for i, name := range engine.Names() {
+		tel := telemetry.New(telemetry.Config{})
+		res, err := engine.Run(engine.Spec{
+			Engine:    name,
+			Proto:     core.MustNew(g, 0),
+			Graph:     g,
+			Daemon:    sim.Synchronous{},
+			Options:   sim.Options{Seed: 1, StopWhen: stop},
+			Telemetry: tel,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if steps, _ := tel.Totals(); steps != 40 {
+			t.Fatalf("%s: telemetry saw %d steps, want 40", name, steps)
+		}
+		if i == 0 {
+			first = res
+		} else if res.Moves != first.Moves || res.Rounds != first.Rounds {
+			t.Fatalf("%s: moves/rounds %d/%d, %s %d/%d", name, res.Moves, res.Rounds, engine.Sim, first.Moves, first.Rounds)
+		}
+	}
+	lat, err := event.ParseLatency("uniform:1-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := new(event.VirtualClock)
+	if _, err := engine.Run(engine.Spec{
+		Engine: engine.Event, Proto: core.MustNew(g, 0), Graph: g,
+		Options: sim.Options{Seed: 1, StopWhen: stop}, Latency: lat, VClock: clock,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if clock.Now() < 40 {
+		t.Fatalf("virtual clock at %d after 40 latency-mode steps", clock.Now())
+	}
+}
+
+// TestStartConfiguration: a Config start is stepped in place by sim and
+// copied by flat and event; every engine reads the same states back.
+func TestStartConfiguration(t *testing.T) {
+	g := ring(t, 6)
+	for _, name := range engine.Names() {
+		pr := core.MustNew(g, 0)
+		cfg := sim.NewConfiguration(g, pr)
+		s := core.At(cfg, 3)
+		s.Val = 42
+		core.Set(cfg, 3, s)
+		r, err := engine.New(engine.Spec{Engine: name, Proto: pr, Config: cfg, Daemon: sim.Synchronous{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.State(3).Val; got != 42 {
+			t.Fatalf("%s: State(3).Val = %d, want 42", name, got)
+		}
+	}
+}
+
+// TestGate: the seam applies the admission gate on every engine — the
+// withheld root broadcast never executes — and refuses to Run a gated
+// schedule, which can park without terminating.
+func TestGate(t *testing.T) {
+	g := ring(t, 8)
+	noBroadcast := func(p, a int) bool { return p != 0 || a != core.ActionB }
+	for _, name := range engine.Names() {
+		// A corrupted start gives the gated run something to do.
+		pr := core.MustNew(g, 0)
+		cfg := sim.NewConfiguration(g, pr)
+		s := core.At(cfg, 4)
+		s.Pif, s.Par, s.L = core.B, 3, 2
+		core.Set(cfg, 4, s)
+		r, err := engine.New(engine.Spec{
+			Engine: name, Proto: pr, Config: cfg, Daemon: sim.Synchronous{},
+			Options: sim.Options{Seed: 1, MaxSteps: 1 << 20, FairnessAge: 1 << 30},
+			Gate:    noBroadcast,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rootBefore := r.State(0)
+		for i := 0; i < 1000; i++ {
+			if r.EnabledCount() == 1 && r.EnabledAction(0) == core.ActionB {
+				break // parked on the withheld broadcast
+			}
+			if done, err := r.Step(); done || err != nil {
+				t.Fatalf("%s: gated run ended: %v", name, err)
+			}
+		}
+		if r.EnabledCount() != 1 || r.EnabledAction(0) != core.ActionB {
+			t.Fatalf("%s: did not quiesce to the withheld broadcast (%d enabled)", name, r.EnabledCount())
+		}
+		if root := r.State(0); root != rootBefore {
+			t.Fatalf("%s: gated root moved: %+v, started %+v", name, root, rootBefore)
+		}
+		if _, err := engine.Run(engine.Spec{Engine: name, Proto: pr, Graph: g, Daemon: sim.Synchronous{}, Gate: noBroadcast}); err == nil {
+			t.Fatalf("%s: Run accepted a gated schedule", name)
+		}
+	}
+}
+
+// TestGateEmptiedSchedulePanics: stepping a schedule whose every choice is
+// withheld is a caller bug the gate reports loudly instead of letting the
+// runner fall back to a random, gate-bypassing pick.
+func TestGateEmptiedSchedulePanics(t *testing.T) {
+	g := ring(t, 4)
+	for _, name := range []string{engine.Sim, engine.Flat} {
+		r, err := engine.New(engine.Spec{
+			Engine: name, Proto: core.MustNew(g, 0), Graph: g, Daemon: sim.Synchronous{},
+			Gate: func(p, a int) bool { return false },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: stepping a fully gated schedule did not panic", name)
+				}
+			}()
+			_, _ = r.Step()
+		}()
+	}
+}
+
+// TestSpecErrors: the seam rejects what an engine cannot run.
+func TestSpecErrors(t *testing.T) {
+	g := ring(t, 5)
+	pr := core.MustNew(g, 0)
+	plant, ok := hunt.PlantByName("level-overflow")
+	if !ok {
+		t.Fatal("plant level-overflow missing")
+	}
+	planted := plant.Wrap(pr)
+	cases := map[string]engine.Spec{
+		"no config or graph":   {Engine: engine.Sim, Proto: pr, Daemon: sim.Synchronous{}},
+		"flat with a plant":    {Engine: engine.Flat, Proto: planted, Graph: g, Daemon: sim.Synchronous{}},
+		"event with a plant":   {Engine: engine.Event, Proto: planted, Graph: g, Daemon: sim.Synchronous{}},
+		"sim telemetry, plant": {Engine: engine.Sim, Proto: planted, Graph: g, Daemon: sim.Synchronous{}, Telemetry: telemetry.New(telemetry.Config{})},
+		"event without daemon": {Engine: engine.Event, Proto: pr, Graph: g},
+	}
+	for name, spec := range cases {
+		if _, err := engine.New(spec); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// A planted protocol still runs on sim.
+	if _, err := engine.New(engine.Spec{Engine: engine.Sim, Proto: planted, Graph: g, Daemon: sim.Synchronous{}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Run(engine.Spec{Engine: "generic", Proto: pr, Graph: g, Daemon: sim.Synchronous{}}); err == nil {
+		t.Fatal("Run accepted an unknown engine")
+	}
+	// Step-limit errors pass through the seam unchanged.
+	_, err := engine.Run(engine.Spec{Engine: engine.Flat, Proto: pr, Graph: g, Daemon: sim.Synchronous{}, Options: sim.Options{MaxSteps: 5}})
+	if !errors.Is(err, sim.ErrStepLimit) {
+		t.Fatalf("err = %v, want ErrStepLimit", err)
+	}
+}
+
+// TestEngineZeroAllocsPerStep: stepping through the seam's Runner interface
+// keeps every engine's zero-allocations-per-step contract.
+func TestEngineZeroAllocsPerStep(t *testing.T) {
+	g := ring(t, 64)
+	for _, name := range engine.Names() {
+		r, err := engine.New(engine.Spec{
+			Engine: name, Proto: core.MustNew(g, 0), Graph: g, Daemon: sim.DistributedRandom{P: 0.5},
+			Options: sim.Options{Seed: 1, MaxSteps: 1 << 30},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2000; i++ {
+			r.Step()
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if done, err := r.Step(); done {
+				t.Fatalf("%s: run ended mid-measurement: %v", name, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Step through the seam allocates %.2f objects/step, want 0", name, allocs)
+		}
+	}
+}

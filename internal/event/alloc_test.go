@@ -71,7 +71,6 @@ func TestEventZeroAllocsPerStep(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := warmEventRunner(t, g, tc.d, tc.lat, 2000)
-			defer r.Close()
 			allocs := testing.AllocsPerRun(200, func() {
 				if done, err := r.Step(); done {
 					t.Fatalf("run ended mid-measurement: %v", err)
@@ -120,7 +119,6 @@ func TestEventRunDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer r.Close()
 				for {
 					done, serr := r.Step()
 					if done {

@@ -254,7 +254,6 @@ func TestEventTraceByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer r.Close()
 				tr2.BeginRun(g, mkDaemon().Name(), seed, r.Mirror())
 				for {
 					done, err := r.Step()

@@ -53,8 +53,8 @@
 // flat engine's Θ(N/64) pending-bitset copy per round boundary), so nothing
 // on the step path scales with N once the configuration is built — at
 // N = 10⁶ with a one-processor cleaning frontier the engine steps three
-// orders of magnitude faster than the sharded flat sweep (see
-// BENCH_scale.json's line-frontier cells).
+// orders of magnitude faster than the flat engine (see BENCH_scale.json's
+// line-frontier cells).
 //
 // See DESIGN.md §12 for the queue layout, the invalidation rules, and the
 // latency model.

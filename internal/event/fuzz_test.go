@@ -141,7 +141,6 @@ func FuzzThreeEngines(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
 			tr.BeginRun(g, dm.mk().Name(), seed, r.Mirror())
 			for {
 				done, serr := r.Step()
@@ -166,7 +165,6 @@ func FuzzThreeEngines(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
 			tr.BeginRun(g, dm.mk().Name(), seed, r.Mirror())
 			for {
 				done, serr := r.Step()
@@ -214,7 +212,6 @@ func FuzzThreeEngines(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
 			tr.BeginRun(g, "event:"+lat.Name(), seed, r.Mirror())
 			for {
 				done, serr := r.Step()

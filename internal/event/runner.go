@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"snappif/internal/bitset"
 	"snappif/internal/core"
 	"snappif/internal/flat"
 	"snappif/internal/sim"
@@ -61,13 +62,7 @@ func Run(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (sim.Resu
 	if err != nil {
 		return sim.Result{}, err
 	}
-	defer r.Close()
-	for {
-		done, err := r.Step()
-		if done {
-			return r.Result(), err
-		}
-	}
+	return sim.Drive(r)
 }
 
 // Runner is the discrete-event stepping loop over the flat engine's
@@ -101,13 +96,13 @@ type Runner struct {
 
 	// Guard cache, mirroring flat.Runner.
 	acts     []int32
-	enabled  *hbits
+	enabled  *bitset.Hier
 	buf      []sim.Choice
 	bufValid bool
 
 	daemonBuf []sim.Choice
 	selBuf    []sim.Choice
-	have      bitmark
+	have      bitset.Bits
 
 	lastReset []int
 
@@ -123,7 +118,7 @@ type Runner struct {
 	pendingCount int
 	enabledCount int
 
-	scratch  bitmark
+	scratch  bitset.Bits
 	dirtyBuf []int32
 
 	stage []core.State
@@ -207,15 +202,15 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 
 		names:     k.ActionNames(),
 		acts:      make([]int32, n),
-		enabled:   newHbits(n),
-		have:      newBitmark(n),
+		enabled:   bitset.NewHier(n),
+		have:      bitset.New(n),
 		lastReset: make([]int, n),
 
 		roundSeq:     1,
 		enabledSince: make([]int, n),
 		removedSeq:   make([]int, n),
 
-		scratch: newBitmark(n),
+		scratch: bitset.New(n),
 		stage:   make([]core.State, n),
 
 		gate:  opts.Gate,
@@ -243,10 +238,10 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 		a := k.EnabledAction(c, p)
 		r.acts[p] = a
 		if a != flat.NoAction {
-			r.enabled.set(p)
+			r.enabled.Set(p)
 		}
 	}
-	r.enabledCount = r.enabled.count()
+	r.enabledCount = r.enabled.Count()
 	r.pendingCount = r.enabledCount
 
 	if r.lat != nil {
@@ -254,7 +249,7 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 		r.wakeStamp = make([]int64, n)
 		// Seed: every initially enabled processor wakes at tick 1 — the
 		// liveness invariant "enabled ⇒ wake pending" holds from the start.
-		r.enabled.forEach(func(p int) { //snapvet:ok non-escaping closure, stack-allocated
+		r.enabled.ForEach(func(p int) { //snapvet:ok non-escaping closure, stack-allocated
 			r.q.push(1, int32(p))
 		})
 	}
@@ -329,9 +324,8 @@ func (r *Runner) QueueDepth() int {
 // guard cache's incremental count.
 func (r *Runner) EnabledCount() int { return r.enabledCount }
 
-// EnabledActionOf returns p's cached enabled action or flat.NoAction. The
-// serving layer's park check reads it to decide whether a gated lane has
-// quiesced down to exactly the withheld root broadcast.
+// EnabledActionOf returns p's cached enabled action or flat.NoAction (the
+// engine seam's Runner.EnabledAction).
 func (r *Runner) EnabledActionOf(p int) int32 { return r.acts[p] }
 
 // NextWake returns the virtual time of the earliest pending wake, or -1
@@ -373,7 +367,7 @@ func (r *Runner) Idle() bool {
 // wakeup when the queue drains.
 func (r *Runner) anyEnabledUngated() bool {
 	any := false
-	r.enabled.forEach(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated
+	r.enabled.ForEach(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated
 		if !any && r.gate(p, r.acts[p]) {
 			any = true
 		}
@@ -421,10 +415,6 @@ func (r *Runner) ServeStep(limit int64) (progressed bool, err error) {
 	}
 	return r.progressed, nil
 }
-
-// Close releases run resources. The event runner holds none (no worker
-// pool), but callers treat all engines uniformly.
-func (r *Runner) Close() {}
 
 // finish seals the run and materializes Result.Final.
 //
@@ -526,7 +516,7 @@ func (r *Runner) Step() (done bool, err error) {
 		r.k.Apply(r.c, ch.Proc, int32(ch.Action), &r.stage[i])
 	}
 	if r.tel != nil {
-		r.tel.ShardApplies(0, int64(len(selected)))
+		r.tel.Applies(int64(len(selected)))
 	}
 	packed := false
 	if r.tel != nil {
@@ -563,7 +553,7 @@ func (r *Runner) Step() (done bool, err error) {
 	if r.tel != nil {
 		root := r.k.Root
 		rootAct := -1
-		if r.enabled.test(root) {
+		if r.enabled.Test(root) {
 			for _, ch := range selected {
 				if ch.Proc == root {
 					rootAct = ch.Action
@@ -643,7 +633,7 @@ func (r *Runner) Step() (done bool, err error) {
 	// only; latency mode never marks).
 	if r.lat == nil {
 		for _, ch := range selected {
-			r.have.clear(ch.Proc)
+			r.have.Clear(ch.Proc)
 		}
 	}
 
@@ -769,7 +759,7 @@ func (r *Runner) choices() []sim.Choice {
 		return r.buf
 	}
 	r.buf = r.buf[:0]
-	r.enabled.forEach(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
+	r.enabled.ForEach(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
 		r.buf = append(r.buf, sim.Choice{Proc: p, Action: int(r.acts[p])})
 	})
 	r.bufValid = true
@@ -797,15 +787,15 @@ func (r *Runner) Enabled() []sim.Choice {
 //snapvet:hotpath
 func (r *Runner) forceAged(selected, enabled []sim.Choice) []sim.Choice {
 	for _, ch := range selected {
-		r.have.set(ch.Proc)
+		r.have.Set(ch.Proc)
 	}
 	bound := r.opts.FairnessAge
 	steps := r.res.Steps
 	for i := range enabled {
 		proc := enabled[i].Proc
-		if steps-r.lastReset[proc] >= bound && !r.have.test(proc) {
+		if steps-r.lastReset[proc] >= bound && !r.have.Test(proc) {
 			selected = append(selected, enabled[i+r.rng.Intn(1)])
-			r.have.set(proc)
+			r.have.Set(proc)
 		}
 	}
 	return selected
@@ -821,13 +811,13 @@ func (r *Runner) forceAged(selected, enabled []sim.Choice) []sim.Choice {
 func (r *Runner) refresh(selected []sim.Choice) {
 	r.dirtyBuf = r.dirtyBuf[:0]
 	for _, ch := range selected {
-		if !r.scratch.test(ch.Proc) {
-			r.scratch.set(ch.Proc)
+		if !r.scratch.Test(ch.Proc) {
+			r.scratch.Set(ch.Proc)
 			r.dirtyBuf = append(r.dirtyBuf, int32(ch.Proc))
 		}
 		for _, q := range r.c.Neighbors(ch.Proc) {
-			if !r.scratch.test(int(q)) {
-				r.scratch.set(int(q))
+			if !r.scratch.Test(int(q)) {
+				r.scratch.Set(int(q))
 				r.dirtyBuf = append(r.dirtyBuf, q)
 			}
 		}
@@ -836,7 +826,7 @@ func (r *Runner) refresh(selected []sim.Choice) {
 	steps := r.res.Steps
 	for _, p32 := range r.dirtyBuf {
 		p := int(p32)
-		r.scratch.clear(p)
+		r.scratch.Clear(p)
 		a := r.k.EnabledAction(r.c, p)
 		old := r.acts[p]
 		if a == old {
@@ -849,7 +839,7 @@ func (r *Runner) refresh(selected []sim.Choice) {
 		switch {
 		case a == flat.NoAction:
 			// Enabled → disabled: p leaves the round.
-			r.enabled.clear(p)
+			r.enabled.Clear(p)
 			r.enabledCount--
 			if r.enabledSince[p] <= r.roundStart && r.removedSeq[p] != r.roundSeq {
 				r.removedSeq[p] = r.roundSeq
@@ -859,13 +849,13 @@ func (r *Runner) refresh(selected []sim.Choice) {
 			// Disabled → enabled: age 1 at the end of this step, and the
 			// epoch predicate keeps p out of the current round's snapshot
 			// (enabledSince > roundStart).
-			r.enabled.set(p)
+			r.enabled.Set(p)
 			r.enabledCount++
 			r.lastReset[p] = steps - 1
 			r.enabledSince[p] = steps
 		}
 	}
 	if r.tel != nil {
-		r.tel.ShardEvals(0, int64(len(r.dirtyBuf)))
+		r.tel.Evals(int64(len(r.dirtyBuf)))
 	}
 }

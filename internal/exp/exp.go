@@ -14,9 +14,9 @@ import (
 
 	"snappif/internal/check"
 	"snappif/internal/core"
+	"snappif/internal/engine"
 	"snappif/internal/event"
 	"snappif/internal/fault"
-	"snappif/internal/flat"
 	"snappif/internal/graph"
 	"snappif/internal/obs"
 	"snappif/internal/sim"
@@ -44,10 +44,8 @@ type Options struct {
 	// table cells), exp.cell_errors, and the exp.cell_seconds histogram —
 	// the live progress feed behind pifexp's -http endpoint.
 	Metrics *obs.Registry
-	// Engine selects the simulation engine for the snap-PIF runs that
-	// support it: "generic" (the interface-based sim.Runner, the default),
-	// "flat" (the struct-of-arrays kernel in internal/flat), or "event"
-	// (the discrete-event scheduler in internal/event). The engines are
+	// Engine names the engine (internal/engine) for the snap-PIF runs that
+	// support it: "sim" (the default), "flat", or "event". The engines are
 	// bit-identical — same moves, rounds, daemon choices, and traces — so
 	// every table is byte-identical across engines; the choice only changes
 	// how fast the cells run (see DESIGN.md §9 and §12).
@@ -62,10 +60,6 @@ type Options struct {
 	// counter as each step commits, so a telemetry Config.Clock built on it
 	// stamps spans in virtual time. Ignored by the other engines.
 	VClock *event.VirtualClock
-	// SweepWorkers enables the flat engine's parallel sharded guard sweep
-	// with this many workers (≤ 1 keeps sweeps on the calling goroutine).
-	// Ignored by the generic engine.
-	SweepWorkers int
 	// Telemetry, if non-nil, receives the per-step aggregation hooks of
 	// every snap-PIF cycle run (both engines). The instance is shared
 	// across cells — its counters and histograms aggregate the whole
@@ -86,7 +80,7 @@ func (o Options) withDefaults() Options {
 		o.Seed = 1
 	}
 	if o.Engine == "" {
-		o.Engine = "generic"
+		o.Engine = engine.Sim
 	}
 	return o
 }
@@ -171,77 +165,29 @@ func runCycles(opt Options, g *graph.Graph, d sim.Daemon, k int, seed int64) ([]
 		return nil, err
 	}
 	obs := check.NewCycleObserver(pr)
-	simOpts := sim.Options{
-		MaxSteps:  20_000_000,
-		Seed:      seed,
-		Observers: []sim.Observer{obs},
-		StopWhen:  obs.StopAfterCycles(k),
+	lat, err := event.ParseLatency(opt.Latency)
+	if err != nil {
+		return nil, err
 	}
-	meta := telemetry.RunMeta{
-		G:       g,
-		Root:    0,
-		Seed:    seed - 1, // scenario convention: injector seed; run seed is Seed+1
-		Engine:  opt.Engine,
-		Daemon:  d.Name(),
-		NextMsg: pr.NextMsg,
-	}
-	switch opt.Engine {
-	case "", "generic":
-		cfg := sim.NewConfiguration(g, pr)
-		if opt.Telemetry.Enabled() {
-			to := &telemetry.Observer{T: opt.Telemetry, Proto: pr}
-			to.Begin(meta, cfg)
-			simOpts.Observers = append(simOpts.Observers, to)
-		}
-		if _, err := sim.Run(cfg, pr, d, simOpts); err != nil {
-			return nil, err
-		}
-	case "flat":
-		kern, err := flat.FromCore(pr)
-		if err != nil {
-			return nil, err
-		}
-		fc, err := flat.NewConfig(kern)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := flat.Run(fc, kern, d, flat.Options{
-			Options:       simOpts,
-			SweepWorkers:  opt.SweepWorkers,
-			Telemetry:     opt.Telemetry,
-			TelemetryMeta: meta,
-		}); err != nil {
-			return nil, err
-		}
-	case "event":
-		kern, err := flat.FromCore(pr)
-		if err != nil {
-			return nil, err
-		}
-		fc, err := flat.NewConfig(kern)
-		if err != nil {
-			return nil, err
-		}
-		lat, err := event.ParseLatency(opt.Latency)
-		if err != nil {
-			return nil, err
-		}
-		eopts := event.Options{
-			Options:       simOpts,
-			Latency:       lat,
-			Telemetry:     opt.Telemetry,
-			TelemetryMeta: meta,
-			VClock:        opt.VClock,
-		}
-		if lat != nil {
-			// Latency mode schedules itself; the daemon argument is unused.
-			d = nil
-		}
-		if _, err := event.Run(fc, kern, d, eopts); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("exp: unknown engine %q (want generic, flat, or event)", opt.Engine)
+	if _, err := engine.Run(engine.Spec{
+		Engine: opt.Engine,
+		Proto:  pr,
+		Graph:  g,
+		Daemon: d,
+		Options: sim.Options{
+			MaxSteps:  20_000_000,
+			Seed:      seed,
+			Observers: []sim.Observer{obs},
+			StopWhen:  obs.StopAfterCycles(k),
+		},
+		Latency:   lat,
+		VClock:    opt.VClock,
+		Telemetry: opt.Telemetry,
+		// Scenario convention: the recorded seed is the injector seed, one
+		// below the run seed.
+		TelemetryMeta: telemetry.RunMeta{Seed: seed - 1},
+	}); err != nil {
+		return nil, err
 	}
 	return obs.Cycles, nil
 }

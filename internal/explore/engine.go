@@ -5,8 +5,7 @@ import (
 	"math/rand"
 
 	"snappif/internal/core"
-	"snappif/internal/event"
-	"snappif/internal/flat"
+	"snappif/internal/engine"
 	"snappif/internal/graph"
 	"snappif/internal/hunt"
 	"snappif/internal/sim"
@@ -17,8 +16,7 @@ import (
 // exactly one forced daemon selection through a real runner. The explorer
 // enumerates whatever the engine reports — it never evaluates a guard or
 // applies an action itself — so a certification is a statement about the
-// engine under test (boxed sim.Runner or flat.Runner), not about a model of
-// it.
+// engine under test (sim, flat, or event), not about a model of it.
 //
 // Every Step builds a pristine runner on the engine's scratch configuration:
 // ages start at zero, so the weak-fairness forcing never adds a choice and
@@ -26,7 +24,7 @@ import (
 // enabled set is read back from the stepped runner's own guard cache — the
 // incremental refresh path included — not recomputed from scratch.
 type Engine interface {
-	// Name identifies the engine in results ("sim" or "flat").
+	// Name identifies the engine in results ("sim", "flat", or "event").
 	Name() string
 
 	// Probe loads states into the scratch configuration and returns the
@@ -83,16 +81,20 @@ func engineOptions() sim.Options {
 	return sim.Options{MaxSteps: 2, FairnessAge: 1 << 30}
 }
 
-// simEngine drives the boxed generic engine (sim.Runner over *core.State).
-type simEngine struct {
+// oracle drives one engine through the engine seam (internal/engine) on a
+// boxed scratch configuration: Probe and Step load the vector and build a
+// pristine runner from it.
+type oracle struct {
+	kind   string
 	proto  sim.Protocol // possibly plant-wrapped
 	cfg    *sim.Configuration
 	forced *forcedDaemon
 }
 
-// newSimEngine builds a scratch boxed engine. plant, when non-empty, wraps
-// the protocol with the named test-only bug (hunt.PlantByName).
-func newSimEngine(g *graph.Graph, root int, plant string, copts []core.Option) (*simEngine, error) {
+// newEngine builds the named engine's oracle. plant, when non-empty, wraps
+// the protocol with the named test-only bug (hunt.PlantByName); flat and
+// event run only the paper's unmodified protocol, so they reject plants.
+func newEngine(kind string, g *graph.Graph, root int, plant string, copts []core.Option) (Engine, error) {
 	pr, err := core.New(g, root, copts...)
 	if err != nil {
 		return nil, err
@@ -105,219 +107,68 @@ func newSimEngine(g *graph.Graph, root int, plant string, copts []core.Option) (
 		}
 		proto = pl.Wrap(pr)
 	}
-	return &simEngine{
-		proto:  proto,
-		cfg:    sim.NewConfiguration(g, proto),
-		forced: &forcedDaemon{},
-	}, nil
+	e := &oracle{kind: kind, proto: proto, cfg: sim.NewConfiguration(g, proto), forced: &forcedDaemon{}}
+	// Build one runner now, so an unknown engine or a plant the engine
+	// cannot run fails here rather than mid-exploration.
+	if _, err := e.runner(); err != nil {
+		return nil, fmt.Errorf("explore: %w", err)
+	}
+	return e, nil
 }
 
 // Name implements Engine.
-func (e *simEngine) Name() string { return "sim" }
+func (e *oracle) Name() string { return e.kind }
+
+// runner builds a pristine runner on the scratch configuration.
+func (e *oracle) runner() (engine.Runner, error) {
+	return engine.New(engine.Spec{
+		Engine:  e.kind,
+		Proto:   e.proto,
+		Config:  e.cfg,
+		Daemon:  e.forced,
+		Options: engineOptions(),
+	})
+}
 
 // load writes the vector into the scratch configuration's boxes.
-func (e *simEngine) load(states []core.State) {
+func (e *oracle) load(states []core.State) {
 	for p := range states {
 		*(e.cfg.States[p].(*core.State)) = states[p]
 	}
 }
 
 // Probe implements Engine.
-func (e *simEngine) Probe(states []core.State) ([]sim.Choice, error) {
+func (e *oracle) Probe(states []core.State) ([]sim.Choice, error) {
 	e.load(states)
-	r := sim.NewRunner(e.cfg, e.proto, e.forced, engineOptions())
+	r, err := e.runner()
+	if err != nil {
+		return nil, fmt.Errorf("explore: %s probe: %w", e.kind, err)
+	}
 	return r.Enabled(), nil
 }
 
 // Step implements Engine.
-func (e *simEngine) Step(states []core.State, sel []sim.Choice) ([]core.State, []sim.Choice, error) {
+func (e *oracle) Step(states []core.State, sel []sim.Choice) ([]core.State, []sim.Choice, error) {
 	e.load(states)
 	e.forced.sel = sel
 	e.forced.miss = false
-	r := sim.NewRunner(e.cfg, e.proto, e.forced, engineOptions())
+	r, err := e.runner()
+	if err != nil {
+		return nil, nil, fmt.Errorf("explore: %s step: %w", e.kind, err)
+	}
 	done, err := r.Step()
 	if err != nil {
-		return nil, nil, fmt.Errorf("explore: sim step: %w", err)
+		return nil, nil, fmt.Errorf("explore: %s step: %w", e.kind, err)
 	}
 	if e.forced.miss {
-		return nil, nil, fmt.Errorf("explore: sim engine does not enable %v", sel)
+		return nil, nil, fmt.Errorf("explore: %s engine does not enable %v", e.kind, sel)
 	}
 	if done {
-		return nil, nil, fmt.Errorf("explore: sim step from %v reported terminal", sel)
+		return nil, nil, fmt.Errorf("explore: %s step from %v reported terminal", e.kind, sel)
 	}
 	succ := make([]core.State, len(states))
 	for p := range succ {
-		succ[p] = *(e.cfg.States[p].(*core.State))
+		succ[p] = r.State(p)
 	}
 	return succ, r.Enabled(), nil
-}
-
-// flatEngine drives the large-N struct-of-arrays engine (flat.Runner).
-type flatEngine struct {
-	kernel *flat.Protocol
-	cfg    *flat.Config
-	forced *forcedDaemon
-}
-
-// newFlatEngine builds a scratch flat engine. The flat kernel mirrors the
-// unmodified core protocol, so plants are not supported.
-func newFlatEngine(g *graph.Graph, root int, plant string, copts []core.Option) (*flatEngine, error) {
-	if plant != "" {
-		return nil, fmt.Errorf("explore: the flat engine does not support plants (got %q)", plant)
-	}
-	pr, err := core.New(g, root, copts...)
-	if err != nil {
-		return nil, err
-	}
-	kernel, err := flat.FromCore(pr)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := flat.NewConfig(kernel)
-	if err != nil {
-		return nil, err
-	}
-	return &flatEngine{kernel: kernel, cfg: cfg, forced: &forcedDaemon{}}, nil
-}
-
-// Name implements Engine.
-func (e *flatEngine) Name() string { return "flat" }
-
-// load scatters the vector into the SoA slices.
-func (e *flatEngine) load(states []core.State) {
-	for p := range states {
-		e.cfg.SetState(p, states[p])
-	}
-}
-
-// Probe implements Engine.
-func (e *flatEngine) Probe(states []core.State) ([]sim.Choice, error) {
-	e.load(states)
-	r, err := flat.NewRunner(e.cfg, e.kernel, e.forced, flat.Options{Options: engineOptions()})
-	if err != nil {
-		return nil, fmt.Errorf("explore: flat probe: %w", err)
-	}
-	enabled := r.Enabled()
-	r.Close()
-	return enabled, nil
-}
-
-// Step implements Engine.
-func (e *flatEngine) Step(states []core.State, sel []sim.Choice) ([]core.State, []sim.Choice, error) {
-	e.load(states)
-	e.forced.sel = sel
-	e.forced.miss = false
-	r, err := flat.NewRunner(e.cfg, e.kernel, e.forced, flat.Options{Options: engineOptions()})
-	if err != nil {
-		return nil, nil, fmt.Errorf("explore: flat step: %w", err)
-	}
-	defer r.Close()
-	done, err := r.Step()
-	if err != nil {
-		return nil, nil, fmt.Errorf("explore: flat step: %w", err)
-	}
-	if e.forced.miss {
-		return nil, nil, fmt.Errorf("explore: flat engine does not enable %v", sel)
-	}
-	if done {
-		return nil, nil, fmt.Errorf("explore: flat step from %v reported terminal", sel)
-	}
-	succ := make([]core.State, len(states))
-	for p := range succ {
-		succ[p] = e.cfg.StateAt(p)
-	}
-	return succ, r.Enabled(), nil
-}
-
-// eventEngine drives the discrete-event engine in external-daemon mode
-// (event.Runner, zero latency), so scripted-selection enumeration covers
-// the third execution semantics through the same facade.
-type eventEngine struct {
-	kernel *flat.Protocol
-	cfg    *flat.Config
-	forced *forcedDaemon
-}
-
-// newEventEngine builds a scratch event engine over the shared flat kernel.
-// Like the flat engine, it mirrors the unmodified core protocol, so plants
-// are not supported.
-func newEventEngine(g *graph.Graph, root int, plant string, copts []core.Option) (*eventEngine, error) {
-	if plant != "" {
-		return nil, fmt.Errorf("explore: the event engine does not support plants (got %q)", plant)
-	}
-	pr, err := core.New(g, root, copts...)
-	if err != nil {
-		return nil, err
-	}
-	kernel, err := flat.FromCore(pr)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := flat.NewConfig(kernel)
-	if err != nil {
-		return nil, err
-	}
-	return &eventEngine{kernel: kernel, cfg: cfg, forced: &forcedDaemon{}}, nil
-}
-
-// Name implements Engine.
-func (e *eventEngine) Name() string { return "event" }
-
-// load scatters the vector into the SoA slices.
-func (e *eventEngine) load(states []core.State) {
-	for p := range states {
-		e.cfg.SetState(p, states[p])
-	}
-}
-
-// Probe implements Engine.
-func (e *eventEngine) Probe(states []core.State) ([]sim.Choice, error) {
-	e.load(states)
-	r, err := event.NewRunner(e.cfg, e.kernel, e.forced, event.Options{Options: engineOptions()})
-	if err != nil {
-		return nil, fmt.Errorf("explore: event probe: %w", err)
-	}
-	enabled := r.Enabled()
-	r.Close()
-	return enabled, nil
-}
-
-// Step implements Engine.
-func (e *eventEngine) Step(states []core.State, sel []sim.Choice) ([]core.State, []sim.Choice, error) {
-	e.load(states)
-	e.forced.sel = sel
-	e.forced.miss = false
-	r, err := event.NewRunner(e.cfg, e.kernel, e.forced, event.Options{Options: engineOptions()})
-	if err != nil {
-		return nil, nil, fmt.Errorf("explore: event step: %w", err)
-	}
-	defer r.Close()
-	done, err := r.Step()
-	if err != nil {
-		return nil, nil, fmt.Errorf("explore: event step: %w", err)
-	}
-	if e.forced.miss {
-		return nil, nil, fmt.Errorf("explore: event engine does not enable %v", sel)
-	}
-	if done {
-		return nil, nil, fmt.Errorf("explore: event step from %v reported terminal", sel)
-	}
-	succ := make([]core.State, len(states))
-	for p := range succ {
-		succ[p] = e.cfg.StateAt(p)
-	}
-	return succ, r.Enabled(), nil
-}
-
-// newEngine constructs the named engine kind.
-func newEngine(kind string, g *graph.Graph, root int, plant string, copts []core.Option) (Engine, error) {
-	switch kind {
-	case "", "sim":
-		return newSimEngine(g, root, plant, copts)
-	case "flat":
-		return newFlatEngine(g, root, plant, copts)
-	case "event":
-		return newEventEngine(g, root, plant, copts)
-	}
-	return nil, fmt.Errorf("explore: unknown engine %q (want sim, flat, or event)", kind)
 }

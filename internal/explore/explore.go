@@ -34,6 +34,7 @@ import (
 
 	"snappif/internal/check"
 	"snappif/internal/core"
+	"snappif/internal/engine"
 	"snappif/internal/graph"
 	"snappif/internal/hunt"
 	"snappif/internal/sim"
@@ -54,8 +55,8 @@ const maxN = 12
 
 // Options configures an Explorer.
 type Options struct {
-	// Engine selects the implementation under test: "sim" (default) or
-	// "flat".
+	// Engine names the implementation under test (internal/engine): "sim"
+	// (default), "flat", or "event".
 	Engine string
 	// Power is the daemon power: PowerCentral (default), PowerDistributed,
 	// or PowerSynchronous.
@@ -198,7 +199,7 @@ func New(g *graph.Graph, root int, opts Options) (*Explorer, error) {
 		return nil, fmt.Errorf("explore: unknown daemon power %q", opts.Power)
 	}
 	if opts.Engine == "" {
-		opts.Engine = "sim"
+		opts.Engine = engine.Sim
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)

@@ -6,6 +6,7 @@ import (
 
 	"snappif/internal/check"
 	"snappif/internal/core"
+	"snappif/internal/engine"
 	"snappif/internal/graph"
 	"snappif/internal/sim"
 )
@@ -41,8 +42,8 @@ const (
 
 // LivenessOptions configures one liveness certification.
 type LivenessOptions struct {
-	// Engine selects the implementation under test: "sim" (default),
-	// "flat", or "event".
+	// Engine names the implementation under test (internal/engine): "sim"
+	// (default), "flat", or "event".
 	Engine string
 	// Target is TargetCycle or TargetNormal.
 	Target string
@@ -96,7 +97,7 @@ func CertifyLiveness(g *graph.Graph, root int, inits [][]core.State, opts Livene
 		return nil, fmt.Errorf("explore: unknown liveness target %q (want %s or %s)", opts.Target, TargetCycle, TargetNormal)
 	}
 	if opts.Engine == "" {
-		opts.Engine = "sim"
+		opts.Engine = engine.Sim
 	}
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = 2_000_000

@@ -50,7 +50,7 @@ func warmFlatRunner(tb testing.TB, g *graph.Graph, d sim.Daemon, opts flat.Optio
 
 // TestFlatZeroAllocsPerStep is the flat kernel's allocation contract: once
 // warm, a committed step of the SoA engine performs zero heap allocations —
-// the guard sweep, the staging commit, the hierarchical enabled set, and
+// the guard refresh, the staging commit, the hierarchical enabled set, and
 // the incremental round/fairness accounting leave nothing for the
 // allocator. scripts/ci.sh gates on this test.
 func TestFlatZeroAllocsPerStep(t *testing.T) {
@@ -59,7 +59,6 @@ func TestFlatZeroAllocsPerStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := warmFlatRunner(t, g, sim.Synchronous{}, flat.Options{}, 2000)
-	defer r.Close()
 	allocs := testing.AllocsPerRun(200, func() {
 		if done, err := r.Step(); done {
 			t.Fatalf("run ended mid-measurement: %v", err)
@@ -78,7 +77,6 @@ func TestFlatZeroAllocsPerStepDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := warmFlatRunner(t, g, sim.DistributedRandom{P: 0.5}, flat.Options{}, 2000)
-	defer r.Close()
 	allocs := testing.AllocsPerRun(200, func() {
 		if done, err := r.Step(); done {
 			t.Fatalf("run ended mid-measurement: %v", err)
@@ -86,27 +84,6 @@ func TestFlatZeroAllocsPerStepDistributed(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("flat Step allocates %.2f objects/step after warm-up, want 0", allocs)
-	}
-}
-
-// TestFlatShardedZeroAllocsPerStep extends the contract to the sharded
-// sweep: fan-out reuses a fixed worker pool and a buffered job channel, so
-// a parallel step allocates nothing either.
-func TestFlatShardedZeroAllocsPerStep(t *testing.T) {
-	g, err := graph.Grid(32, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := warmFlatRunner(t, g, sim.Synchronous{},
-		flat.Options{SweepWorkers: 4, MinSweep: 1}, 300)
-	defer r.Close()
-	allocs := testing.AllocsPerRun(100, func() {
-		if done, err := r.Step(); done {
-			t.Fatalf("run ended mid-measurement: %v", err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("sharded flat Step allocates %.2f objects/step after warm-up, want 0", allocs)
 	}
 }
 

@@ -20,9 +20,7 @@ import (
 // daemon × fault × seed combination the grid covers, the flat runner must be
 // *bit-identical* to the generic sim.Runner — same Steps/Moves/Rounds, same
 // MovesPerAction, same final state at every processor, same step-limit
-// error, and (in the traced variant) byte-identical obs JSONL output. The
-// sharded sweep is additionally pinned to the serial flat runner, so
-// generic ≡ flat-serial ≡ flat-sharded.
+// error, and (in the traced variant) byte-identical obs JSONL output.
 
 // diffTopologies mirrors the reference-runner grid's shapes: path, cycle,
 // mesh, hub, dense random — all small enough for many (daemon × fault ×
@@ -224,7 +222,6 @@ func TestFlatTraceByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer r.Close()
 				tr2.BeginRun(g, mkDaemon().Name(), seed, r.Mirror())
 				for {
 					done, err := r.Step()
@@ -259,34 +256,6 @@ func firstDiffLine(a, b []byte) string {
 		}
 	}
 	return fmt.Sprintf("trace lengths differ: %d vs %d lines", len(la), len(lb))
-}
-
-// TestShardedSweepMatchesSerial pins the parallel sharded sweep to the
-// serial flat runner (and so, transitively, to the generic engine) on a
-// network large enough that every step actually fans out: same results,
-// same final states. scripts/ci.sh runs this package under -race, which
-// turns this test into the data-race proof for the sweep.
-func TestShardedSweepMatchesSerial(t *testing.T) {
-	g, err := graph.Grid(30, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const steps = 120
-	stop := func(rs *sim.RunState) bool { return rs.Steps >= steps }
-	for dname, mkDaemon := range diffDaemons() {
-		t.Run(dname, func(t *testing.T) {
-			base := sim.Options{Seed: 9, StopWhen: stop, MaxSteps: steps + 1}
-			serialRes, serialErr, serialCfg := runFlat(t, g, fault.UniformRandom(), mkDaemon,
-				flat.Options{Options: base})
-			shardRes, shardErr, shardCfg := runFlat(t, g, fault.UniformRandom(), mkDaemon,
-				flat.Options{Options: base, SweepWorkers: 4, MinSweep: 1})
-			if (serialErr == nil) != (shardErr == nil) {
-				t.Fatalf("error mismatch: serial %v, sharded %v", serialErr, shardErr)
-			}
-			compareResults(t, serialRes, shardRes)
-			compareStates(t, serialCfg, shardCfg)
-		})
-	}
 }
 
 // TestFlatStepLimitError pins the step-limit failure path: the flat engine

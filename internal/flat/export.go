@@ -50,19 +50,12 @@ func (c *Config) Phase(p int) core.Phase { return core.Phase(c.pif[p]) }
 //snapvet:hotpath
 func (c *Config) Msg(p int) uint64 { return c.msg[p] }
 
-// Agg reads p's feedback-aggregation register without gathering the full
-// state — the serving layer's response value at feedback-complete time.
-//
-//snapvet:hotpath
-func (c *Config) Agg(p int) int64 { return c.agg[p] }
-
 // EnabledCount returns the number of currently enabled processors — the
 // runner's own incremental count, maintained by refresh.
 func (r *Runner) EnabledCount() int { return r.enabledCount }
 
-// EnabledActionOf returns p's cached enabled action or NoAction. The serving
-// layer's park check reads it to decide whether a gated lane has quiesced
-// down to exactly the withheld root broadcast.
+// EnabledActionOf returns p's cached enabled action or NoAction (the engine
+// seam's Runner.EnabledAction).
 func (r *Runner) EnabledActionOf(p int) int32 { return r.acts[p] }
 
 // CensusDeltas converts one step's per-action move counts (cur − prev) into

@@ -16,16 +16,9 @@
 // Runner reproduces internal/sim.Runner bit for bit — same daemon choices
 // (identical RNG draw sequence), same moves, rounds, fairness forcing, and
 // observer callbacks — which the differential grid and fuzz oracle in this
-// package enforce against every topology/daemon/fault combination. On top
-// of the flat layout it adds a sharded guard sweep: the per-step guard
-// re-evaluation (and, for large selections, the action execution) fans out
-// over a fixed worker pool. Workers only read the pre-commit arrays and
-// write disjoint per-processor slots, so the sweep is data-race-free by
-// construction and deterministic regardless of scheduling; the serial and
-// sharded modes share one commit path and produce identical runs.
+// package enforce against every topology/daemon/fault combination.
 //
-// See DESIGN.md §9 for the memory layout, the sharding scheme, and the
-// determinism argument.
+// See DESIGN.md §9 for the memory layout and the determinism argument.
 package flat
 
 import (

@@ -197,7 +197,6 @@ func TestFlatRunnerStepEquivalentToRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Close()
 		for {
 			done, err := r.Step()
 			if done {

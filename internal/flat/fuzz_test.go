@@ -119,7 +119,6 @@ func FuzzFlatVsGeneric(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Close()
 		tr2.BeginRun(g, dm.mk().Name(), seed, r.Mirror())
 		for {
 			done, serr := r.Step()

@@ -3,37 +3,42 @@ package flat
 import (
 	"math/rand"
 	"testing"
+
+	"snappif/internal/bitset"
 )
+
+// These tests pin the engine's enabled-set index (bitset.Hier) and its
+// round-pending snapshot (bitset.Bits.CopyFrom of the level-0 words).
 
 // TestHbitsAgainstMap drives the hierarchical bitset with a random
 // set/clear workload and checks membership, population count, and ascending
 // forEach enumeration against a map oracle.
 func TestHbitsAgainstMap(t *testing.T) {
 	const n = 1000
-	h := newHbits(n)
+	h := bitset.NewHier(n)
 	oracle := make(map[int]bool)
 	rng := rand.New(rand.NewSource(5))
 	for op := 0; op < 20_000; op++ {
 		i := rng.Intn(n)
 		if rng.Intn(2) == 0 {
-			h.set(i)
+			h.Set(i)
 			oracle[i] = true
 		} else {
-			h.clear(i)
+			h.Clear(i)
 			delete(oracle, i)
 		}
 	}
-	if h.count() != len(oracle) {
-		t.Fatalf("count = %d, oracle %d", h.count(), len(oracle))
+	if h.Count() != len(oracle) {
+		t.Fatalf("count = %d, oracle %d", h.Count(), len(oracle))
 	}
 	for i := 0; i < n; i++ {
-		if h.test(i) != oracle[i] {
-			t.Fatalf("test(%d) = %v, oracle %v", i, h.test(i), oracle[i])
+		if h.Test(i) != oracle[i] {
+			t.Fatalf("test(%d) = %v, oracle %v", i, h.Test(i), oracle[i])
 		}
 	}
 	prev := -1
 	seen := 0
-	h.forEach(func(i int) {
+	h.ForEach(func(i int) {
 		if i <= prev {
 			t.Fatalf("forEach out of order: %d after %d", i, prev)
 		}
@@ -51,39 +56,39 @@ func TestHbitsAgainstMap(t *testing.T) {
 // TestHbitsIdempotentOps: double set / double clear must not corrupt the
 // population count or the summary level.
 func TestHbitsIdempotentOps(t *testing.T) {
-	h := newHbits(200)
-	h.set(130)
-	h.set(130)
-	if h.count() != 1 {
-		t.Fatalf("count after double set = %d, want 1", h.count())
+	h := bitset.NewHier(200)
+	h.Set(130)
+	h.Set(130)
+	if h.Count() != 1 {
+		t.Fatalf("count after double set = %d, want 1", h.Count())
 	}
-	h.clear(130)
-	h.clear(130)
-	if h.count() != 0 || h.test(130) {
-		t.Fatalf("count after double clear = %d, test = %v", h.count(), h.test(130))
+	h.Clear(130)
+	h.Clear(130)
+	if h.Count() != 0 || h.Test(130) {
+		t.Fatalf("count after double clear = %d, test = %v", h.Count(), h.Test(130))
 	}
 	// The summary word must be zero again so forEach skips the region.
 	visited := false
-	h.forEach(func(int) { visited = true })
+	h.ForEach(func(int) { visited = true })
 	if visited {
 		t.Fatal("forEach visited an ID in an empty set")
 	}
 }
 
-// TestBitmarkCopyFromHbits: copyFrom mirrors the level-0 words.
+// TestBitmarkCopyFromHbits: CopyFrom(Words()) mirrors the level-0 words.
 func TestBitmarkCopyFromHbits(t *testing.T) {
 	const n = 300
-	h := newHbits(n)
+	h := bitset.NewHier(n)
 	for _, i := range []int{0, 63, 64, 131, 299} {
-		h.set(i)
+		h.Set(i)
 	}
-	b := newBitmark(n)
-	b.set(5) // stale bit that copyFrom must overwrite
-	b.copyFrom(h)
+	b := bitset.New(n)
+	b.Set(5) // stale bit that copyFrom must overwrite
+	b.CopyFrom(h.Words())
 	for i := 0; i < n; i++ {
-		want := h.test(i)
-		if b.test(i) != want {
-			t.Fatalf("bitmark bit %d = %v, want %v", i, b.test(i), want)
+		want := h.Test(i)
+		if b.Test(i) != want {
+			t.Fatalf("pending bit %d = %v, want %v", i, b.Test(i), want)
 		}
 	}
 }

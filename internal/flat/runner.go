@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"snappif/internal/bitset"
 	"snappif/internal/core"
 	"snappif/internal/sim"
 	"snappif/internal/telemetry"
@@ -15,22 +16,9 @@ import (
 type Options struct {
 	sim.Options
 
-	// SweepWorkers enables the sharded sweep: guard re-evaluation and action
-	// staging fan out over this many goroutines when a sweep has at least
-	// MinSweep items. Values ≤ 1 keep every sweep on the calling goroutine.
-	// The sharded and serial modes commit through the same serial loop and
-	// produce bit-identical runs (see the package doc's determinism
-	// argument).
-	SweepWorkers int
-
-	// MinSweep is the minimum number of sweep items before fanning out
-	// (default 2048): below it the goroutine handoff costs more than the
-	// sweep.
-	MinSweep int
-
 	// Telemetry, when non-nil, receives the per-step aggregation hook plus
-	// per-shard sweep tallies. A nil value keeps the step path free of any
-	// telemetry cost beyond one pointer check.
+	// the guard-evaluation and apply tallies. A nil value keeps the step
+	// path free of any telemetry cost beyond one pointer check.
 	Telemetry *telemetry.Telemetry
 
 	// TelemetryMeta labels the run for the telemetry flight recorder and
@@ -47,13 +35,7 @@ func Run(c *Config, k *Protocol, d sim.Daemon, opts Options) (sim.Result, error)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	defer r.Close()
-	for {
-		done, err := r.Step()
-		if done {
-			return r.Result(), err
-		}
-	}
+	return sim.Drive(r)
 }
 
 // Runner is the flat engine's stepping loop. It reproduces sim.Runner's
@@ -90,15 +72,14 @@ type Runner struct {
 	// corresponding processor set; buf is the flat choice list in ascending
 	// processor order, rebuilt only after a change.
 	acts     []int32
-	newActs  []int32 // sweep staging: workers write disjoint slots
-	enabled  *hbits
+	enabled  *bitset.Hier
 	buf      []sim.Choice
 	bufValid bool
 
 	// Selection scratch, mirroring sim.Runner's buffers.
 	daemonBuf []sim.Choice
 	selBuf    []sim.Choice
-	have      bitmark
+	have      bitset.Bits
 
 	// lastReset[p] is the completed-step count at which p's fairness age was
 	// last reset; p's age after step S is S - lastReset[p].
@@ -108,13 +89,13 @@ type Runner struct {
 	// round an action, pendingCount its cardinality. enabledCount mirrors
 	// the enabled bitset's cardinality incrementally, so the telemetry path
 	// never pays a per-step popcount over N bits.
-	pending      bitmark
+	pending      bitset.Bits
 	pendingCount int
 	enabledCount int
 
 	// Refresh scratch: dirtyBuf lists the step's re-evaluated processors,
 	// scratch dedups it.
-	scratch  bitmark
+	scratch  bitset.Bits
 	dirtyBuf []int32
 
 	// stage[i] is selection entry i's next state, computed from the pre-step
@@ -143,8 +124,6 @@ type Runner struct {
 	mirror *sim.Configuration
 	facade *sim.Configuration
 
-	pool *pool
-
 	// Telemetry wiring: telSrc adapts the flat configuration for flight
 	// checkpoints; guardHits/guardMisses are per-step refresh tallies
 	// (re-evaluated guards whose action was unchanged vs. changed).
@@ -172,9 +151,6 @@ func (s *telSource) Census() (b, f, cl int) { return s.c.Census() }
 // when observers or a stop predicate need one; mutating observers are
 // rejected — they would desync the mirror from the flat state (use the
 // generic engine for mid-run fault injection).
-//
-// Callers owning a Runner with SweepWorkers > 1 must Close it to release the
-// worker goroutines.
 func NewRunner(c *Config, k *Protocol, d sim.Daemon, opts Options) (*Runner, error) {
 	if c.N() != k.g.N() {
 		return nil, fmt.Errorf("flat: configuration has %d processors, kernel network %d", c.N(), k.g.N())
@@ -193,9 +169,6 @@ func NewRunner(c *Config, k *Protocol, d sim.Daemon, opts Options) (*Runner, err
 	if opts.FairnessAge <= 0 {
 		opts.FairnessAge = 4 * c.N()
 	}
-	if opts.MinSweep <= 0 {
-		opts.MinSweep = 2048
-	}
 	n := c.N()
 	r := &Runner{
 		c:    c,
@@ -206,12 +179,11 @@ func NewRunner(c *Config, k *Protocol, d sim.Daemon, opts Options) (*Runner, err
 
 		names:     k.names,
 		acts:      make([]int32, n),
-		newActs:   make([]int32, n),
-		enabled:   newHbits(n),
-		have:      newBitmark(n),
+		enabled:   bitset.NewHier(n),
+		have:      bitset.New(n),
 		lastReset: make([]int, n),
-		pending:   newBitmark(n),
-		scratch:   newBitmark(n),
+		pending:   bitset.New(n),
+		scratch:   bitset.New(n),
 		stage:     make([]core.State, n),
 
 		actionMoves: make([]int, len(k.names)),
@@ -237,16 +209,12 @@ func NewRunner(c *Config, k *Protocol, d sim.Daemon, opts Options) (*Runner, err
 		a := k.enabledAction(c, p)
 		r.acts[p] = a
 		if a != noAction {
-			r.enabled.set(p)
+			r.enabled.Set(p)
 		}
 	}
-	r.pending.copyFrom(r.enabled)
-	r.enabledCount = r.enabled.count()
+	r.pending.CopyFrom(r.enabled.Words())
+	r.enabledCount = r.enabled.Count()
 	r.pendingCount = r.enabledCount
-
-	if opts.SweepWorkers > 1 {
-		r.pool = newPool(r, opts.SweepWorkers)
-	}
 
 	if opts.Telemetry.Enabled() {
 		r.tel = opts.Telemetry
@@ -298,15 +266,6 @@ func (r *Runner) Result() sim.Result {
 // snapshot at Close) hand it the mirror, exactly as they hand the generic
 // engine its configuration.
 func (r *Runner) Mirror() *sim.Configuration { return r.mirror }
-
-// Close releases the sweep worker goroutines (no-op for serial runners).
-// The Runner must not be stepped after Close.
-func (r *Runner) Close() {
-	if r.pool != nil {
-		r.pool.close()
-		r.pool = nil
-	}
-}
 
 // finish seals the run and materializes Result.Final.
 //
@@ -361,22 +320,17 @@ func (r *Runner) Step() (done bool, err error) {
 	}
 	selected = r.selBuf
 
-	// Execute: stage every next state from the pre-step slices (sharded when
-	// the selection is large — stage slots are disjoint), then scatter-commit
-	// serially. Composite atomicity, distributed daemon.
+	// Execute: stage every next state from the pre-step slices, then
+	// scatter-commit. Composite atomicity, distributed daemon.
 	var commitStart int64
 	if r.tel.DetailTiming() {
 		commitStart = r.tel.Now()
 	}
-	if r.pool != nil && len(selected) >= r.opts.MinSweep {
-		r.pool.run(jobApply, len(selected))
-	} else {
-		for i, ch := range selected {
-			r.k.apply(r.c, ch.Proc, int32(ch.Action), &r.stage[i])
-		}
-		if r.tel != nil {
-			r.tel.ShardApplies(0, int64(len(selected)))
-		}
+	for i, ch := range selected {
+		r.k.apply(r.c, ch.Proc, int32(ch.Action), &r.stage[i])
+	}
+	if r.tel != nil {
+		r.tel.Applies(int64(len(selected)))
 	}
 	packed := false
 	if r.tel != nil {
@@ -429,7 +383,7 @@ func (r *Runner) Step() (done bool, err error) {
 		// so the common case pays one bitset test, not a per-move compare.
 		root := r.k.Root
 		rootAct := -1
-		if r.enabled.test(root) {
+		if r.enabled.Test(root) {
 			for _, ch := range selected {
 				if ch.Proc == root {
 					rootAct = ch.Action
@@ -448,8 +402,8 @@ func (r *Runner) Step() (done bool, err error) {
 	// consults them in between).
 	for _, ch := range selected {
 		r.lastReset[ch.Proc] = steps
-		if r.pending.test(ch.Proc) {
-			r.pending.clear(ch.Proc)
+		if r.pending.Test(ch.Proc) {
+			r.pending.Clear(ch.Proc)
 			r.pendingCount--
 		}
 	}
@@ -493,13 +447,13 @@ func (r *Runner) Step() (done bool, err error) {
 				ro.OnRound(r.res.Rounds, r.mirror)
 			}
 		}
-		r.pending.copyFrom(r.enabled)
+		r.pending.CopyFrom(r.enabled.Words())
 		r.pendingCount = r.enabledCount
 	}
 
 	// Clear the fairness dedup marks set this step (selBuf covers them).
 	for _, ch := range selected {
-		r.have.clear(ch.Proc)
+		r.have.Clear(ch.Proc)
 	}
 
 	if r.opts.StopWhen != nil && r.opts.StopWhen(&r.rs) {
@@ -613,7 +567,7 @@ func (r *Runner) choices() []sim.Choice {
 		return r.buf
 	}
 	r.buf = r.buf[:0]
-	r.enabled.forEach(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
+	r.enabled.ForEach(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated (proved by the CI alloc gates)
 		r.buf = append(r.buf, sim.Choice{Proc: p, Action: int(r.acts[p])})
 	})
 	r.bufValid = true
@@ -642,15 +596,15 @@ func (r *Runner) Enabled() []sim.Choice {
 //snapvet:hotpath
 func (r *Runner) forceAged(selected, enabled []sim.Choice) []sim.Choice {
 	for _, ch := range selected {
-		r.have.set(ch.Proc)
+		r.have.Set(ch.Proc)
 	}
 	bound := r.opts.FairnessAge
 	steps := r.res.Steps
 	for i := range enabled {
 		proc := enabled[i].Proc
-		if steps-r.lastReset[proc] >= bound && !r.have.test(proc) {
+		if steps-r.lastReset[proc] >= bound && !r.have.Test(proc) {
 			selected = append(selected, enabled[i+r.rng.Intn(1)])
-			r.have.set(proc)
+			r.have.Set(proc)
 		}
 	}
 	return selected
@@ -659,44 +613,34 @@ func (r *Runner) forceAged(selected, enabled []sim.Choice) []sim.Choice {
 // refresh re-evaluates the guards of the executed processors' closed
 // neighborhoods (guards are local) and commits the changes: enabled bitset
 // and action slots, choice-buffer invalidation, round departures of newly
-// disabled processors, and age restarts of newly enabled ones. The guard
-// sweep itself is sharded when the dirty set is large — workers read the
-// post-commit state slices and write disjoint newActs slots — while this
-// commit loop stays serial, so sharding cannot reorder any observable
-// effect.
+// disabled processors, and age restarts of newly enabled ones. Guards read
+// only the post-commit state slices, which the loop never writes, so each
+// processor is evaluated and committed in one pass.
 //
 //snapvet:hotpath
 func (r *Runner) refresh(selected []sim.Choice) {
 	r.dirtyBuf = r.dirtyBuf[:0]
 	for _, ch := range selected {
-		if !r.scratch.test(ch.Proc) {
-			r.scratch.set(ch.Proc)
+		if !r.scratch.Test(ch.Proc) {
+			r.scratch.Set(ch.Proc)
 			r.dirtyBuf = append(r.dirtyBuf, int32(ch.Proc))
 		}
 		for _, q := range r.c.neighbors(ch.Proc) {
-			if !r.scratch.test(int(q)) {
-				r.scratch.set(int(q))
+			if !r.scratch.Test(int(q)) {
+				r.scratch.Set(int(q))
 				r.dirtyBuf = append(r.dirtyBuf, q)
 			}
 		}
 	}
-
-	if r.pool != nil && len(r.dirtyBuf) >= r.opts.MinSweep {
-		r.pool.run(jobEval, len(r.dirtyBuf))
-	} else {
-		for _, p := range r.dirtyBuf {
-			r.newActs[p] = r.k.enabledAction(r.c, int(p))
-		}
-		if r.tel != nil {
-			r.tel.ShardEvals(0, int64(len(r.dirtyBuf)))
-		}
+	if r.tel != nil {
+		r.tel.Evals(int64(len(r.dirtyBuf)))
 	}
 
 	steps := r.res.Steps
 	for _, p32 := range r.dirtyBuf {
 		p := int(p32)
-		r.scratch.clear(p)
-		a := r.newActs[p]
+		r.scratch.Clear(p)
+		a := r.k.enabledAction(r.c, p)
 		old := r.acts[p]
 		if a == old {
 			// A re-evaluation that confirmed the cached action: the guard
@@ -710,10 +654,10 @@ func (r *Runner) refresh(selected []sim.Choice) {
 		switch {
 		case a == noAction:
 			// Enabled → disabled: the disable action; p leaves the round.
-			r.enabled.clear(p)
+			r.enabled.Clear(p)
 			r.enabledCount--
-			if r.pending.test(p) {
-				r.pending.clear(p)
+			if r.pending.Test(p) {
+				r.pending.Clear(p)
 				r.pendingCount--
 			}
 		case old == noAction:
@@ -721,7 +665,7 @@ func (r *Runner) refresh(selected []sim.Choice) {
 			// age 1 at the end of this step (enabled, not executed — an
 			// executed processor is enabled before the step, so never takes
 			// this transition).
-			r.enabled.set(p)
+			r.enabled.Set(p)
 			r.enabledCount++
 			r.lastReset[p] = steps - 1
 		}

@@ -138,11 +138,3 @@ func TestReportJSONSummary(t *testing.T) {
 		}
 	}
 }
-
-// TestGateDaemonName pins the daemon's diagnostic name.
-func TestGateDaemonName(t *testing.T) {
-	d := &gateDaemon{}
-	if got := d.Name(); got != "service-gate(synchronous)" {
-		t.Fatalf("Name() = %q", got)
-	}
-}

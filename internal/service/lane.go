@@ -2,12 +2,10 @@ package service
 
 import (
 	"fmt"
-	"math/rand"
 
 	"snappif/internal/core"
-	"snappif/internal/event"
+	"snappif/internal/engine"
 	"snappif/internal/fault"
-	"snappif/internal/flat"
 	"snappif/internal/sim"
 )
 
@@ -53,8 +51,10 @@ type lane struct {
 	eng laneEngine
 }
 
-// laneEngine abstracts the three engines behind the serving loop.
+// laneEngine drives the lane's runner for the serving loop: one
+// synchronous step per tick on sim and flat, wake-queue batches on event.
 type laneEngine interface {
+	engine.Runner
 	// advance runs the lane's schedule up to global tick t, calling observe
 	// after every committed step.
 	advance(t int64, observe func() error) error
@@ -70,17 +70,13 @@ type laneEngine interface {
 	// global tick t (the event engine's lost-wakeup cure; a no-op for the
 	// synchronous engines, whose serving loop re-polls parked()).
 	wake(t int64)
-	// rootPhase, rootMsg, rootAgg read the root's registers.
-	rootPhase() core.Phase
-	rootMsg() uint64
-	rootAgg() int64
 }
 
 // gateOpen is the admission predicate: the root broadcast is admitted only
 // while a request is queued.
 func (ln *lane) gateOpen() bool { return len(ln.pending) > 0 }
 
-// admit is the (proc, action) filter shared by all three engines' gates.
+// admit is the (proc, action) admission gate the engine seam applies.
 func (ln *lane) admit(p int, a int) bool {
 	return p != ln.root || a != core.ActionB || ln.gateOpen()
 }
@@ -107,7 +103,8 @@ func (ln *lane) advance(t int64) error {
 // observe translates root phase transitions into wave lifecycle events; it
 // runs after every committed step of the lane's engine.
 func (ln *lane) observe() error {
-	cur := ln.eng.rootPhase()
+	root := ln.eng.State(ln.root)
+	cur := root.Pif
 	prev := ln.prevPhase
 	if cur == prev {
 		return nil
@@ -141,8 +138,8 @@ func (ln *lane) observe() error {
 		ln.rep.record(Wave{
 			Lane:     ln.idx,
 			Kind:     req.kind.String(),
-			Msg:      ln.eng.rootMsg(),
-			Resp:     ln.eng.rootAgg(),
+			Msg:      root.Msg,
+			Resp:     root.Agg,
 			EnqueueT: req.enqueueT,
 			StartT:   ln.startT,
 			DoneT:    ln.tick,
@@ -164,7 +161,7 @@ func (ln *lane) observe() error {
 
 // newLane builds one initiator's instance: protocol rooted at root with the
 // lane's fold-dispatching Combine, deterministic per-processor values,
-// optional fault corruption, and the engine-specific runner.
+// optional fault corruption, and the engine's runner.
 func newLane(opts *Options, idx, root int, faultName string) (*lane, error) {
 	ln := &lane{idx: idx, root: root, clock: opts.Clock}
 	seed := opts.laneSeed(idx)
@@ -188,100 +185,47 @@ func newLane(opts *Options, idx, root int, faultName string) (*lane, error) {
 	inj, _ := fault.ByName(faultName) // validated by New
 	inj.Apply(cfg, pr, newRNG(seed))
 
-	simOpts := sim.Options{
-		Seed:     seed,
-		MaxSteps: 1 << 30,
-		// The induced/filtered schedules are intrinsically fair for this
-		// protocol; fairness forcing would bypass the admission gate.
-		FairnessAge: 1 << 30,
+	r, err := engine.New(engine.Spec{
+		Engine: opts.Engine,
+		Proto:  pr,
+		Config: cfg,
+		Daemon: sim.Synchronous{},
+		Options: sim.Options{
+			Seed:     seed,
+			MaxSteps: 1 << 30,
+			// The induced/filtered schedules are intrinsically fair for
+			// this protocol; fairness forcing would bypass the admission
+			// gate.
+			FairnessAge: 1 << 30,
+		},
+		Latency: opts.Latency,
+		Gate:    ln.admit,
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	switch opts.Engine {
-	case "sim":
-		r := sim.NewRunner(cfg, pr, &gateDaemon{admit: ln.admit}, simOpts)
-		ln.eng = &simLane{ln: ln, cfg: cfg, r: r}
-	case "flat":
-		k, err := flat.FromCore(pr)
-		if err != nil {
-			return nil, err
-		}
-		fc, err := flat.FromSim(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := flat.NewRunner(fc, k, &gateDaemon{admit: ln.admit}, flat.Options{
-			Options:      simOpts,
-			SweepWorkers: opts.SweepWorkers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ln.eng = &flatLane{ln: ln, fc: fc, r: r}
-	case "event":
-		k, err := flat.FromCore(pr)
-		if err != nil {
-			return nil, err
-		}
-		fc, err := flat.FromSim(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r, err := event.NewRunner(fc, k, nil, event.Options{
-			Options: simOpts,
-			Latency: opts.Latency,
-			Gate:    func(p int, a int32) bool { return ln.admit(p, int(a)) },
-		})
-		if err != nil {
-			return nil, err
-		}
-		ln.eng = &eventLane{ln: ln, fc: fc, r: r}
+	if wr, ok := r.(wakeRunner); ok {
+		ln.eng = &eventLane{wakeRunner: wr, ln: ln}
+	} else {
+		ln.eng = &syncLane{Runner: r, ln: ln}
 	}
-	ln.prevPhase = ln.eng.rootPhase()
+	ln.prevPhase = ln.eng.State(root).Pif
 	return ln, nil
 }
 
-// gateDaemon wraps the synchronous daemon for the sim and flat engines,
-// filtering the withheld root broadcast out of the selection. The PIF
-// guards are mutually exclusive (one action per processor), so the
-// synchronous selection is the whole enabled set and filtering cannot
-// change any RNG draw sequence.
-type gateDaemon struct {
-	inner sim.Synchronous
-	admit func(p, a int) bool
+// syncLane runs a lane on a synchronous engine (sim or flat): one
+// synchronous step per tick, the gate filtering the root's broadcast out
+// of the selection.
+type syncLane struct {
+	engine.Runner
+	ln *lane
 }
 
-func (d *gateDaemon) Name() string { return "service-gate(synchronous)" }
-
-func (d *gateDaemon) Select(step int, c *sim.Configuration, enabled []sim.Choice, rng *rand.Rand) []sim.Choice {
-	sel := d.inner.Select(step, c, enabled, rng)
-	out := sel[:0]
-	for _, ch := range sel {
-		if d.admit(ch.Proc, ch.Action) {
-			out = append(out, ch)
-		}
-	}
-	if len(out) == 0 {
-		// Unreachable: the serving loop parks the lane (and never calls
-		// Step) once only the withheld broadcast remains. Reaching this
-		// would make the runner fall back to a random pick, silently
-		// bypassing admission — fail loudly instead.
-		panic("service: gate emptied the schedule; lane should have parked")
-	}
-	return out
-}
-
-// simLane runs a lane on the generic engine: one synchronous step per tick.
-type simLane struct {
-	ln  *lane
-	cfg *sim.Configuration
-	r   *sim.Runner
-}
-
-func (e *simLane) advance(_ int64, observe func() error) error {
+func (e *syncLane) advance(_ int64, observe func() error) error {
 	if e.parked() {
 		return nil
 	}
-	done, err := e.r.Step()
+	done, err := e.Step()
 	if err != nil {
 		return err
 	}
@@ -291,87 +235,46 @@ func (e *simLane) advance(_ int64, observe func() error) error {
 	return observe()
 }
 
-func (e *simLane) parked() bool {
-	n := e.r.EnabledCount()
+func (e *syncLane) parked() bool {
+	n := e.EnabledCount()
 	if n == 0 {
 		return true
 	}
 	if e.ln.gateOpen() || n != 1 {
 		return false
 	}
-	acts := e.r.EnabledActionsOf(e.ln.root)
-	return len(acts) == 1 && acts[0] == core.ActionB
+	return e.EnabledAction(e.ln.root) == core.ActionB
 }
 
-func (e *simLane) nextWake() int64 {
+func (e *syncLane) nextWake() int64 {
 	if e.parked() {
 		return -1
 	}
 	return e.ln.tick + 1
 }
 
-func (e *simLane) wake(int64) {} // the serving loop re-polls parked()
+func (e *syncLane) wake(int64) {} // the serving loop re-polls parked()
 
-func (e *simLane) rootPhase() core.Phase { return core.At(e.cfg, e.ln.root).Pif }
-func (e *simLane) rootMsg() uint64       { return core.At(e.cfg, e.ln.root).Msg }
-func (e *simLane) rootAgg() int64        { return core.At(e.cfg, e.ln.root).Agg }
-
-// flatLane runs a lane on the flat engine: one synchronous step per tick.
-type flatLane struct {
-	ln *lane
-	fc *flat.Config
-	r  *flat.Runner
+// wakeRunner is the event engine's serving surface: its schedule is a
+// virtual-time wake queue the lane drains up to each global tick.
+type wakeRunner interface {
+	engine.Runner
+	ServeStep(limit int64) (progressed bool, err error)
+	Idle() bool
+	NextWake() int64
+	Wake(p int, at int64) int64
 }
-
-func (e *flatLane) advance(_ int64, observe func() error) error {
-	if e.parked() {
-		return nil
-	}
-	done, err := e.r.Step()
-	if err != nil {
-		return err
-	}
-	if done {
-		return nil
-	}
-	return observe()
-}
-
-func (e *flatLane) parked() bool {
-	n := e.r.EnabledCount()
-	if n == 0 {
-		return true
-	}
-	if e.ln.gateOpen() || n != 1 {
-		return false
-	}
-	return e.r.EnabledActionOf(e.ln.root) == int32(core.ActionB)
-}
-
-func (e *flatLane) nextWake() int64 {
-	if e.parked() {
-		return -1
-	}
-	return e.ln.tick + 1
-}
-
-func (e *flatLane) wake(int64) {}
-
-func (e *flatLane) rootPhase() core.Phase { return e.fc.Phase(e.ln.root) }
-func (e *flatLane) rootMsg() uint64       { return e.fc.Msg(e.ln.root) }
-func (e *flatLane) rootAgg() int64        { return e.fc.Agg(e.ln.root) }
 
 // eventLane runs a lane on the discrete-event engine: drain every effective
 // wake batch up to the global tick.
 type eventLane struct {
+	wakeRunner
 	ln *lane
-	fc *flat.Config
-	r  *event.Runner
 }
 
 func (e *eventLane) advance(t int64, observe func() error) error {
 	for {
-		progressed, err := e.r.ServeStep(t)
+		progressed, err := e.ServeStep(t)
 		if err != nil {
 			return err
 		}
@@ -384,10 +287,6 @@ func (e *eventLane) advance(t int64, observe func() error) error {
 	}
 }
 
-func (e *eventLane) parked() bool    { return e.r.Idle() }
-func (e *eventLane) nextWake() int64 { return e.r.NextWake() }
-func (e *eventLane) wake(t int64)    { e.r.Wake(e.ln.root, t) }
-
-func (e *eventLane) rootPhase() core.Phase { return e.fc.Phase(e.ln.root) }
-func (e *eventLane) rootMsg() uint64       { return e.fc.Msg(e.ln.root) }
-func (e *eventLane) rootAgg() int64        { return e.fc.Agg(e.ln.root) }
+func (e *eventLane) parked() bool    { return e.Idle() }
+func (e *eventLane) nextWake() int64 { return e.NextWake() }
+func (e *eventLane) wake(t int64)    { e.Wake(e.ln.root, t) }

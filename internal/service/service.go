@@ -13,12 +13,12 @@
 //
 // Admission is gate-based and engine-mechanism-preserving: the protocol's
 // guards are never touched. Instead the schedule source withholds the root's
-// B-action while the lane has no pending request — a filtering daemon on the
-// sim and flat engines, event.Options.Gate on the discrete-event engine —
-// and the serving loop parks a lane that has quiesced down to exactly the
+// B-action while the lane has no pending request — the engine seam's gate
+// (internal/engine: a filtering daemon on sim and flat, the wake-queue gate
+// on event) — and the serving loop parks a lane that has quiesced down to exactly the
 // withheld broadcast. Everything advances on one global virtual clock
 // (ticks), so a run is a pure function of (topology, engine, seed, arrival
-// stream): byte-identical across repetitions and worker counts. Wall-clock
+// stream): byte-identical across repetitions. Wall-clock
 // readings come only from the injected Options.Clock and never steer the
 // schedule.
 package service
@@ -28,6 +28,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"snappif/internal/engine"
 	"snappif/internal/event"
 	"snappif/internal/fault"
 	"snappif/internal/graph"
@@ -105,7 +106,7 @@ func (k Kind) fold(acc, child int64) int64 {
 }
 
 // valOf is processor p's deterministic application value — a fixed hash so
-// every engine, mode, and worker count folds the same inputs.
+// every engine and mode folds the same inputs.
 func valOf(p int) int64 {
 	return int64((uint64(p)*2654435761 + 12345) % 1000003)
 }
@@ -114,11 +115,12 @@ func valOf(p int) int64 {
 type Options struct {
 	// Graph is the served topology (required).
 	Graph *graph.Graph
-	// Engine selects the execution engine per lane: "sim", "flat", or
-	// "event".
+	// Engine names the execution engine per lane (internal/engine): "sim",
+	// "flat", or "event".
 	Engine string
 	// Latency is the event engine's per-link delay distribution; nil means
-	// event.Constant(1). Ignored by sim and flat (synchronous semantics).
+	// event.Constant(1), the gated event runner's default. Ignored by sim
+	// and flat (synchronous semantics).
 	Latency event.Latency
 	// Initiators lists the lane roots — one independent protocol instance
 	// per initiator, all advancing on the shared virtual clock. Default
@@ -133,9 +135,6 @@ type Options struct {
 	// MaxTicks bounds the virtual clock (default 1<<22); exceeding it is an
 	// error, not a long run.
 	MaxTicks int64
-	// SweepWorkers is forwarded to flat lanes (sharded guard sweeps); runs
-	// are bit-identical across worker counts.
-	SweepWorkers int
 	// Clock, when non-nil, supplies wall-clock nanosecond readings for the
 	// latency report. A nil Clock keeps the run and its report fully
 	// deterministic.
@@ -160,10 +159,8 @@ func New(opts Options) (*Server, error) {
 	if opts.Graph == nil {
 		return nil, fmt.Errorf("service: Options.Graph is required")
 	}
-	switch opts.Engine {
-	case "sim", "flat", "event":
-	default:
-		return nil, fmt.Errorf("service: unknown engine %q (want sim, flat, or event)", opts.Engine)
+	if err := engine.Validate(opts.Engine); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	if len(opts.Initiators) == 0 {
 		opts.Initiators = []int{0}
@@ -183,9 +180,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.MaxTicks <= 0 {
 		opts.MaxTicks = 1 << 22
-	}
-	if opts.Engine == "event" && opts.Latency == nil {
-		opts.Latency = event.Constant(1)
 	}
 	for i, name := range opts.Faults {
 		if name == "" {

@@ -20,7 +20,7 @@ type Arrival struct {
 // Rate (per 1000 virtual ticks) under the chosen inter-arrival process,
 // each assigned a lane and a payload kind from the mix. Generation is a
 // pure function of the struct's fields — the same workload drives every
-// engine, mode, and worker count to byte-identical serving runs.
+// engine and mode to byte-identical serving runs.
 type Workload struct {
 	// Process is the inter-arrival process: "poisson" (exponential gaps,
 	// default) or "constant" (evenly spaced).

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+
+	"snappif/internal/bitset"
 )
 
 // ErrStepLimit is returned (wrapped) when a run exhausts Options.MaxSteps
@@ -92,11 +94,25 @@ type Result struct {
 // It returns an error only when the step limit is hit, which in every
 // experiment in this repository indicates a bug, not a long run.
 func Run(c *Configuration, p Protocol, d Daemon, opts Options) (Result, error) {
-	r := NewRunner(c, p, d, opts)
+	return Drive(NewRunner(c, p, d, opts))
+}
+
+// Stepper is the stepping contract every engine's runner implements
+// (sim.Runner, flat.Runner, event.Runner): Step executes one computation
+// step and reports done once the run has ended; Result is the run summary
+// so far.
+type Stepper interface {
+	Step() (done bool, err error)
+	Result() Result
+}
+
+// Drive steps s until the run ends and returns its result — the one run
+// loop behind Run and its flat and event counterparts.
+func Drive(s Stepper) (Result, error) {
 	for {
-		done, err := r.Step()
+		done, err := s.Step()
 		if done {
-			return r.Result(), err
+			return s.Result(), err
 		}
 	}
 }
@@ -125,11 +141,11 @@ type Runner struct {
 	// pending tracks the processors continuously enabled since the start of
 	// the current round that have executed neither a protocol action nor
 	// the disable action yet.
-	pending bitset
+	pending bitset.Bits
 	// executed marks the processors that moved in the current step.
-	executed bitset
+	executed bitset.Bits
 	// have is forceAged's per-step dedup scratch.
-	have bitset
+	have bitset.Bits
 	// shadow holds the spare state boxes of the in-place commit path: step
 	// i writes into shadow boxes, then swaps them with the live boxes.
 	shadow []State
@@ -167,9 +183,9 @@ func NewRunner(c *Configuration, p Protocol, d Daemon, opts Options) *Runner {
 		rng:  rand.New(rand.NewSource(opts.Seed)),
 
 		age:      make([]int, n),
-		pending:  newBitset(n),
-		executed: newBitset(n),
-		have:     newBitset(n),
+		pending:  bitset.New(n),
+		executed: bitset.New(n),
+		have:     bitset.New(n),
 		stateBuf: make([]State, n),
 	}
 	names := p.ActionNames()
@@ -198,7 +214,7 @@ func NewRunner(c *Configuration, p Protocol, d Daemon, opts Options) *Runner {
 		}
 	}
 	r.cache = newEnabledCache(c, p, incremental)
-	r.pending.copyFrom(r.cache.enabledBits)
+	r.pending.CopyFrom(r.cache.enabledBits)
 
 	// The in-place commit path: protocols that can overwrite state boxes
 	// get a shadow box per processor, created once here; each step writes
@@ -256,7 +272,7 @@ func (r *Runner) Step() (done bool, err error) {
 
 	// Execute: all statements read the pre-step configuration, then all
 	// writes commit at once (composite atomicity, distributed daemon).
-	r.executed.reset()
+	r.executed.Reset()
 	if r.inplace != nil {
 		for _, ch := range selected {
 			r.inplace.ApplyInto(r.c, ch.Proc, ch.Action, r.shadow[ch.Proc])
@@ -273,7 +289,7 @@ func (r *Runner) Step() (done bool, err error) {
 		}
 	}
 	for _, ch := range selected {
-		r.executed.set(ch.Proc)
+		r.executed.Set(ch.Proc)
 		r.res.Moves++
 		r.res.MovesPerAction[r.names[ch.Action]]++
 	}
@@ -288,13 +304,13 @@ func (r *Runner) Step() (done bool, err error) {
 
 	for _, o := range r.opts.Observers {
 		if eo, ok := o.(EnabledObserver); ok {
-			eo.OnEnabled(r.res.Steps, r.cache.enabledBits.count())
+			eo.OnEnabled(r.res.Steps, r.cache.enabledBits.Count())
 		}
 	}
 
 	// Round accounting: a pending processor leaves the round when it
 	// executes, or when it becomes disabled (the disable action).
-	if r.pending.intersectAndNot(r.cache.enabledBits, r.executed) {
+	if r.pending.IntersectAndNot(r.cache.enabledBits, r.executed) {
 		r.res.Rounds++
 		r.rs.Rounds = r.res.Rounds
 		for _, o := range r.opts.Observers {
@@ -302,13 +318,13 @@ func (r *Runner) Step() (done bool, err error) {
 				ro.OnRound(r.res.Rounds, r.c)
 			}
 		}
-		r.pending.copyFrom(r.cache.enabledBits)
+		r.pending.CopyFrom(r.cache.enabledBits)
 	}
 
 	// Aging for weak fairness.
 	for proc := 0; proc < r.c.N(); proc++ {
 		switch {
-		case !r.cache.enabledBits.test(proc), r.executed.test(proc):
+		case !r.cache.enabledBits.Test(proc), r.executed.Test(proc):
 			r.age[proc] = 0
 		default:
 			r.age[proc]++
@@ -325,12 +341,11 @@ func (r *Runner) Step() (done bool, err error) {
 
 // EnabledCount returns the number of currently enabled processors — the
 // cache's own incremental view, refreshed as part of each committed step.
-func (r *Runner) EnabledCount() int { return r.cache.enabledBits.count() }
+func (r *Runner) EnabledCount() int { return r.cache.enabledBits.Count() }
 
 // EnabledActionsOf returns processor p's cached enabled actions (nil when p
 // is disabled). The slice is the cache's storage: read-only, valid until
-// the next Step. The serving layer's park check reads it to decide whether
-// a gated lane has fully quiesced.
+// the next Step.
 func (r *Runner) EnabledActionsOf(p int) []int { return r.cache.acts[p] }
 
 // forceAged appends to selected every enabled processor whose age has
@@ -339,9 +354,9 @@ func (r *Runner) EnabledActionsOf(p int) []int { return r.cache.acts[p] }
 //
 //snapvet:hotpath
 func (r *Runner) forceAged(selected, enabled []Choice) []Choice {
-	r.have.reset()
+	r.have.Reset()
 	for _, ch := range selected {
-		r.have.set(ch.Proc)
+		r.have.Set(ch.Proc)
 	}
 	bound := r.opts.FairnessAge
 	for i := 0; i < len(enabled); {
@@ -350,9 +365,9 @@ func (r *Runner) forceAged(selected, enabled []Choice) []Choice {
 			j++
 		}
 		proc := enabled[i].Proc
-		if r.age[proc] >= bound && !r.have.test(proc) {
+		if r.age[proc] >= bound && !r.have.Test(proc) {
 			selected = append(selected, enabled[i+r.rng.Intn(j-i)])
-			r.have.set(proc)
+			r.have.Set(proc)
 		}
 		i = j
 	}
@@ -380,11 +395,11 @@ type enabledCache struct {
 	incremental bool
 	radius      int // hop distance refresh dilates around movers (≥ 1)
 	acts        [][]int
-	enabledBits bitset
+	enabledBits bitset.Bits
 	buf         []Choice
 	bufValid    bool
-	scratch     bitset // processors re-evaluated in the current refresh
-	frontier    []int  // BFS frontier scratch for radius > 1
+	scratch     bitset.Bits // processors re-evaluated in the current refresh
+	frontier    []int       // BFS frontier scratch for radius > 1
 	next        []int
 }
 
@@ -395,8 +410,8 @@ func newEnabledCache(c *Configuration, p Protocol, incremental bool) *enabledCac
 		incremental: incremental,
 		radius:      1,
 		acts:        make([][]int, c.N()),
-		enabledBits: newBitset(c.N()),
-		scratch:     newBitset(c.N()),
+		enabledBits: bitset.New(c.N()),
+		scratch:     bitset.New(c.N()),
 	}
 	if rp, ok := p.(RadiusProtocol); ok && rp.DirtyRadius() > 1 {
 		ec.radius = rp.DirtyRadius()
@@ -416,9 +431,9 @@ func (ec *enabledCache) update(proc int) {
 	acts := ec.p.Enabled(ec.c, proc)
 	ec.acts[proc] = acts
 	if len(acts) == 0 {
-		ec.enabledBits.clear(proc)
+		ec.enabledBits.Clear(proc)
 	} else {
-		ec.enabledBits.set(proc)
+		ec.enabledBits.Set(proc)
 	}
 	if len(old) != len(acts) {
 		ec.bufValid = false
@@ -445,16 +460,16 @@ func (ec *enabledCache) refresh(executed []Choice) {
 		}
 		return
 	}
-	ec.scratch.reset()
+	ec.scratch.Reset()
 	if ec.radius == 1 {
 		for _, ch := range executed {
-			if !ec.scratch.test(ch.Proc) {
-				ec.scratch.set(ch.Proc)
+			if !ec.scratch.Test(ch.Proc) {
+				ec.scratch.Set(ch.Proc)
 				ec.update(ch.Proc)
 			}
 			for _, q := range ec.c.G.Neighbors(ch.Proc) {
-				if !ec.scratch.test(q) {
-					ec.scratch.set(q)
+				if !ec.scratch.Test(q) {
+					ec.scratch.Set(q)
 					ec.update(q)
 				}
 			}
@@ -465,8 +480,8 @@ func (ec *enabledCache) refresh(executed []Choice) {
 	// frontier buffers so the hot path stays allocation-free once warm.
 	ec.frontier = ec.frontier[:0]
 	for _, ch := range executed {
-		if !ec.scratch.test(ch.Proc) {
-			ec.scratch.set(ch.Proc)
+		if !ec.scratch.Test(ch.Proc) {
+			ec.scratch.Set(ch.Proc)
 			ec.update(ch.Proc)
 			ec.frontier = append(ec.frontier, ch.Proc)
 		}
@@ -476,8 +491,8 @@ func (ec *enabledCache) refresh(executed []Choice) {
 		ec.next = ec.next[:0]
 		for _, p := range cur {
 			for _, q := range ec.c.G.Neighbors(p) {
-				if !ec.scratch.test(q) {
-					ec.scratch.set(q)
+				if !ec.scratch.Test(q) {
+					ec.scratch.Set(q)
 					ec.update(q)
 					ec.next = append(ec.next, q)
 				}
@@ -498,7 +513,7 @@ func (ec *enabledCache) choices() []Choice {
 		return ec.buf
 	}
 	ec.buf = ec.buf[:0]
-	ec.enabledBits.forEach(func(proc int) { //snapvet:ok non-escaping closure over ec, stack-allocated (proved by the CI alloc gates)
+	ec.enabledBits.ForEach(func(proc int) { //snapvet:ok non-escaping closure over ec, stack-allocated (proved by the CI alloc gates)
 		for _, a := range ec.acts[proc] {
 			ec.buf = append(ec.buf, Choice{Proc: proc, Action: a})
 		}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"snappif/internal/bitset"
 	"snappif/internal/graph"
 )
 
@@ -84,7 +85,7 @@ func FuzzForceAged(f *testing.F) {
 		r := &Runner{
 			rng:  gotRng,
 			age:  append([]int(nil), age...),
-			have: newBitset(n),
+			have: bitset.New(n),
 			opts: Options{FairnessAge: bound},
 		}
 		got := r.forceAged(append([]Choice(nil), selected...), enabled)
@@ -141,12 +142,12 @@ func FuzzBitsetRoundAccounting(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nRaw uint16, p0, k0, x0, p1, k1, x1 uint64) {
 		n := int(nRaw%130) + 1
 		words := func(w0, w1 uint64) []uint64 { return []uint64{w0, w1, w0 ^ w1} }
-		toSet := func(ws []uint64) (bitset, map[int]bool) {
-			b := newBitset(n)
+		toSet := func(ws []uint64) (bitset.Bits, map[int]bool) {
+			b := bitset.New(n)
 			m := make(map[int]bool)
 			for i := 0; i < n; i++ {
 				if ws[i>>6]&(1<<(uint(i)&63)) != 0 {
-					b.set(i)
+					b.Set(i)
 					m[i] = true
 				}
 			}
@@ -157,16 +158,16 @@ func FuzzBitsetRoundAccounting(f *testing.F) {
 		drop, dropM := toSet(words(x0, x1))
 
 		wantM := naiveRoundUpdate(pendM, keepM, dropM)
-		gotEmpty := pend.intersectAndNot(keep, drop)
+		gotEmpty := pend.IntersectAndNot(keep, drop)
 
 		if gotEmpty != (len(wantM) == 0) {
 			t.Fatalf("emptiness: bitset says %v, oracle has %d members", gotEmpty, len(wantM))
 		}
-		if pend.count() != len(wantM) {
-			t.Fatalf("count: bitset %d, oracle %d", pend.count(), len(wantM))
+		if pend.Count() != len(wantM) {
+			t.Fatalf("count: bitset %d, oracle %d", pend.Count(), len(wantM))
 		}
 		prev := -1
-		pend.forEach(func(i int) {
+		pend.ForEach(func(i int) {
 			if i <= prev {
 				t.Fatalf("forEach out of order: %d after %d", i, prev)
 			}

@@ -58,19 +58,18 @@ func runGenericInto(tel *telemetry.Telemetry, g *graph.Graph, seed int64, k int)
 	return nil
 }
 
-// runFlatTelemetry is runGenericTelemetry on the flat engine (optionally
-// with the sharded sweep); the engines are bit-identical, so both report
-// the same logical telemetry.
-func runFlatTelemetry(t *testing.T, g *graph.Graph, seed int64, k, sweepWorkers int) *telemetry.Telemetry {
+// runFlatTelemetry is runGenericTelemetry on the flat engine; the engines
+// are bit-identical, so both report the same logical telemetry.
+func runFlatTelemetry(t *testing.T, g *graph.Graph, seed int64, k int) *telemetry.Telemetry {
 	t.Helper()
 	tel := telemetry.New(testConfig())
-	if err := runFlatInto(tel, g, seed, k, sweepWorkers); err != nil {
+	if err := runFlatInto(tel, g, seed, k); err != nil {
 		t.Fatal(err)
 	}
 	return tel
 }
 
-func runFlatInto(tel *telemetry.Telemetry, g *graph.Graph, seed int64, k, sweepWorkers int) error {
+func runFlatInto(tel *telemetry.Telemetry, g *graph.Graph, seed int64, k int) error {
 	pr, err := core.New(g, 0)
 	if err != nil {
 		return err
@@ -92,12 +91,8 @@ func runFlatInto(tel *telemetry.Telemetry, g *graph.Graph, seed int64, k, sweepW
 			Observers: []sim.Observer{cy},
 			StopWhen:  cy.StopAfterCycles(k),
 		},
-		SweepWorkers:  sweepWorkers,
 		Telemetry:     tel,
 		TelemetryMeta: telemetry.RunMeta{Seed: seed - 1},
-	}
-	if sweepWorkers > 1 {
-		opts.MinSweep = 1
 	}
 	if _, err := flat.Run(fc, kern, d, opts); err != nil {
 		return err

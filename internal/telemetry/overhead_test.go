@@ -110,12 +110,10 @@ func measureOffOn(n, warmup, window, pairs int) (off, on, ratio, apsOff, apsOn f
 	if err != nil {
 		return 0, 0, 0, 0, 0, err
 	}
-	defer rOff.Close()
 	rOn, err := newFlatStepper(n, telemetry.New(fullConfig()), maxSteps)
 	if err != nil {
 		return 0, 0, 0, 0, 0, err
 	}
-	defer rOn.Close()
 	if err := warm(rOff, warmup); err != nil {
 		return 0, 0, 0, 0, 0, err
 	}

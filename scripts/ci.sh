@@ -26,13 +26,13 @@ go vet ./...
 # unsafe.Pointer audit is a second pass on top of the default suite.
 go vet -unsafeptr ./...
 
-echo "== snapvet (model conformance, determinism, radius/shard/observer contracts) =="
+echo "== snapvet (model conformance, determinism, radius/observer contracts) =="
 go run ./cmd/snapvet -tests ./...
 go run ./cmd/snapvet -tests -json ./... > artifacts/snapvet.json
 echo "snapvet findings artifact: artifacts/snapvet.json"
 
 echo "== snapvet negative gate (planted-defect fixtures must yield exactly the expected findings) =="
-go test ./internal/analysis/ -run 'TestGuardpure|TestWritelocal|TestDetrange|TestHotalloc|TestRadiusbound|TestSharddisjoint|TestObspure' -count=1
+go test ./internal/analysis/ -run 'TestGuardpure|TestWritelocal|TestDetrange|TestHotalloc|TestRadiusbound|TestObspure' -count=1
 
 echo "== go build =="
 go build ./...
@@ -87,10 +87,10 @@ awk -v p="$service_pct" 'BEGIN { exit (p + 0 >= 85) ? 0 : 1 }' || {
     exit 1
 }
 
-echo "== race: simulation engine, experiment executor, concurrent runtime, tracer =="
-go test -race ./internal/sim/ ./internal/exp/ ./internal/runtime/ ./cmd/pifexp/ ./internal/obs/
+echo "== race: simulation engine, engine seam, experiment executor, concurrent runtime, tracer =="
+go test -race ./internal/sim/ ./internal/engine/ ./internal/exp/ ./internal/runtime/ ./cmd/pifexp/ ./internal/obs/
 
-echo "== race: flat engine (differential grid + sharded sweep) =="
+echo "== race: flat engine (differential grid) =="
 go test -race ./internal/flat/
 
 echo "== race: event engine (three-way differential + latency properties) =="
@@ -102,7 +102,7 @@ go test -race ./internal/hunt/
 echo "== race: telemetry (concurrent engine writers + registry readers) =="
 go test -race ./internal/telemetry/
 
-echo "== race: service (open-loop generator + pipelined waves, parallel flat sweeps) =="
+echo "== race: service (open-loop generator + pipelined waves) =="
 go test -race ./internal/service/ ./cmd/pifserve/
 
 echo "== race: soak (reduced horizon) =="
@@ -111,8 +111,9 @@ go test -race -short -run TestSoakManyWaves -count=1 .
 echo "== allocation budget (zero allocs/step after warm-up, disabled tracer included) =="
 go test ./internal/sim/ -run 'TestZeroAllocs|TestCycleByteBudget|TestChoicesBufferReuse|TestCopyFromZeroAllocs' -count=1 -v
 go test ./internal/obs/ -run TestDisabledTracerZeroAllocs -count=1 -v
-go test ./internal/flat/ -run 'TestFlatZeroAllocsPerStep|TestFlatShardedZeroAllocsPerStep|TestFlatCopyFromZeroAllocs' -count=1 -v
+go test ./internal/flat/ -run 'TestFlatZeroAllocsPerStep|TestFlatCopyFromZeroAllocs' -count=1 -v
 go test ./internal/event/ -run TestEventZeroAllocsPerStep -count=1 -v
+go test ./internal/engine/ -run TestEngineZeroAllocsPerStep -count=1 -v
 go test ./internal/telemetry/ -run 'TestDisabledAllocs|TestEnabledSteadyStateAllocs' -count=1 -v
 
 echo "== determinism (serial vs parallel, optimized vs reference) =="
