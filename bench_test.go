@@ -21,9 +21,9 @@ import (
 	"snappif/internal/baseline/treepif"
 	"snappif/internal/check"
 	"snappif/internal/core"
+	"snappif/internal/engine"
 	"snappif/internal/exp"
 	"snappif/internal/fault"
-	"snappif/internal/flat"
 	"snappif/internal/graph"
 	"snappif/internal/mc"
 	"snappif/internal/msgnet"
@@ -661,15 +661,8 @@ func BenchmarkStepFlat(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			k, err := flat.FromCore(core.MustNew(g, 0))
-			if err != nil {
-				b.Fatal(err)
-			}
-			fc, err := flat.NewConfig(k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r, err := flat.NewRunner(fc, k, sim.Synchronous{}, flat.Options{
+			r, err := engine.New(engine.Spec{
+				Engine: engine.Flat, Proto: core.MustNew(g, 0), Graph: g, Daemon: sim.Synchronous{},
 				Options: sim.Options{Seed: 1, MaxSteps: 1 << 40},
 			})
 			if err != nil {

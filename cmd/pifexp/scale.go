@@ -169,9 +169,9 @@ var frontierPoints = []frontierPoint{
 // admit exactly one move — Cleaning(front) — and each C-action hands the
 // frontier to front−1, so every committed step has one enabled processor,
 // one move, and (under the synchronous daemon) one round. That makes the
-// cell a pure measurement of per-step overhead that scales with N: the flat
-// engine pays the Θ(N/64) pending-bitset copy at every round boundary,
-// while the event engine's epoch accounting touches only the frontier.
+// cell a pure measurement of per-step overhead that scales with N: a
+// pending-bitset round accounting would copy Θ(N/64) words at every round
+// boundary, while the runner's epoch accounting touches only the frontier.
 func frontierConfig(g *graph.Graph, pr *core.Protocol, front int) *sim.Configuration {
 	cfg := sim.NewConfiguration(g, pr)
 	for p := 0; p < g.N(); p++ {

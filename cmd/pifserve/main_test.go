@@ -89,6 +89,10 @@ func TestBadInput(t *testing.T) {
 		{"run", "-topo", "ring:8", "-mix", "snapshot=x"},
 		{"capacity", "-topo", "ring:8"}, // missing -slo-p99
 		{"dump", "-topo", "ring:8"},     // missing -out
+		// A latency on an engine without a latency schedule is refused,
+		// not silently dropped.
+		{"run", "-topo", "ring:16", "-engine", "flat", "-latency", "uniform:1-3"},
+		{"run", "-topo", "ring:16", "-engine", "sim", "-latency", "uniform:1-3"},
 	} {
 		if err := run(args, &buf); err == nil {
 			t.Errorf("pifserve %v accepted", args)

@@ -1,7 +1,8 @@
-// Package bitset holds the processor-ID sets shared by the three engines
-// (internal/sim, internal/flat, internal/event): a plain one-level set for
-// per-step scratch and round accounting, and a two-level hierarchical set
-// with a maintained population count for the enabled-set index.
+// Package bitset holds the processor-ID sets shared by the two runners
+// (internal/sim, and internal/event over the flat kernel): a plain
+// one-level set for per-step scratch and round accounting, and a two-level
+// hierarchical set with a maintained population count for the enabled-set
+// index.
 //
 // Every operation is allocation-free after construction, and the per-ID
 // operations are small enough to inline across the package boundary (check
@@ -148,14 +149,6 @@ func (h *Hier) Clear(i int) {
 //
 //snapvet:hotpath
 func (h *Hier) Count() int { return h.n }
-
-// Words returns the level-0 words as a one-level set sharing h's storage
-// (read-only: writes through it would desync the summary and the count).
-// Engines snapshot the enabled set into their round-pending set with
-// pending.CopyFrom(enabled.Words()).
-//
-//snapvet:hotpath
-func (h *Hier) Words() Bits { return h.l0 }
 
 // ForEach calls fn for every ID in the set in ascending order, skipping
 // empty level-0 words via the summary.

@@ -4,15 +4,18 @@
 //
 //	sim    the interface-based reference runner (internal/sim) over boxed
 //	       states; runs any sim.Protocol, planted variants included
-//	flat   the struct-of-arrays kernel (internal/flat) for large N
+//	flat   the struct-of-arrays kernel (internal/flat) for large N, stepped
+//	       by the event runner in external-daemon mode
 //	event  the discrete-event scheduler (internal/event) over flat's
 //	       kernel: daemon-driven, or self-scheduled from per-link latencies
 //
 // Under an external daemon the three are bit-identical — same moves,
 // rounds, RNG draws and traces (the differential tests in internal/flat and
 // internal/event) — so callers pick one by name, validate the name with
-// Validate, build it with New, and program against Runner. Nothing outside
-// this package and the engines themselves constructs an engine runner.
+// Validate, build it with New, and program against Runner. flat and a
+// daemon-driven event run are one code path; they differ only in the
+// engine name telemetry records. Nothing outside this package and the
+// engines themselves constructs an engine runner.
 package engine
 
 import (
@@ -69,11 +72,11 @@ type Spec struct {
 	// Options are the run options every engine shares.
 	Options sim.Options
 	// Latency, for event only, replaces the daemon with the per-link
-	// latency schedule; nil keeps the daemon-driven mode. Ignored by sim
-	// and flat.
+	// latency schedule; nil keeps the daemon-driven mode. New rejects it
+	// on sim and flat.
 	Latency event.Latency
 	// VClock, for event only, receives the run's virtual time after every
-	// committed step.
+	// committed step. New rejects it on sim and flat.
 	VClock *event.VirtualClock
 	// Telemetry, when non-nil, receives the per-step hooks; sim feeds it
 	// through a telemetry.Observer, so it needs a *core.Protocol too.
@@ -108,13 +111,18 @@ type Runner interface {
 	State(p int) core.State
 }
 
-// New builds the runner spec names.
+// New builds the runner spec names. An event runner in latency mode also
+// offers the serving methods ServeStep, Idle, NextWake and Wake by type
+// assertion; every other runner offers Runner alone.
 func New(s Spec) (Runner, error) {
 	if err := Validate(s.Engine); err != nil {
 		return nil, err
 	}
 	if s.Config == nil && s.Graph == nil {
 		return nil, errors.New("engine: Spec needs a Config or a Graph")
+	}
+	if s.Engine != Event && (s.Latency != nil || s.VClock != nil) {
+		return nil, fmt.Errorf("engine: %s has no latency schedule; Latency and VClock need engine %s", s.Engine, Event)
 	}
 	if s.Engine == Sim {
 		return newSim(s)
@@ -136,17 +144,6 @@ func New(s Spec) (Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.Engine == Flat {
-		r, err := flat.NewRunner(fc, k, gated(s.Daemon, s.Gate), flat.Options{
-			Options:       s.Options,
-			Telemetry:     s.Telemetry,
-			TelemetryMeta: s.TelemetryMeta,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &flatRunner{Runner: r, c: fc}, nil
-	}
 	opts := event.Options{
 		Options:       s.Options,
 		Latency:       s.Latency,
@@ -154,13 +151,19 @@ func New(s Spec) (Runner, error) {
 		TelemetryMeta: s.TelemetryMeta,
 		VClock:        s.VClock,
 	}
-	if gate := s.Gate; gate != nil {
+	d := s.Daemon
+	if s.Engine == Flat {
+		// flat is the event runner in external-daemon mode, gated like sim.
+		d = gated(d, s.Gate)
+		if opts.TelemetryMeta.Engine == "" {
+			opts.TelemetryMeta.Engine = Flat
+		}
+	} else if gate := s.Gate; gate != nil {
 		opts.Gate = func(p int, a int32) bool { return gate(p, int(a)) }
 		if opts.Latency == nil {
 			opts.Latency = event.Constant(1)
 		}
 	}
-	d := s.Daemon
 	if opts.Latency != nil {
 		d = nil // latency mode schedules itself
 	}
@@ -168,7 +171,12 @@ func New(s Spec) (Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &eventRunner{Runner: r, c: fc}, nil
+	er := &eventRunner{Runner: r, c: fc}
+	if opts.Latency == nil {
+		// No wake queue to serve from: hide the serving methods.
+		return daemonRunner{er}, nil
+	}
+	return er, nil
 }
 
 // Run builds the runner and steps it until the run ends. A gated schedule
@@ -267,17 +275,9 @@ func (r *simRunner) EnabledAction(p int) int {
 	return -1
 }
 
-// flatRunner adapts flat.Runner over its struct-of-arrays configuration.
-type flatRunner struct {
-	*flat.Runner
-	c *flat.Config
-}
-
-func (r *flatRunner) State(p int) core.State  { return r.c.StateAt(p) }
-func (r *flatRunner) EnabledAction(p int) int { return int(r.EnabledActionOf(p)) }
-
-// eventRunner adapts event.Runner; its serving methods (ServeStep, Idle,
-// NextWake, Wake) stay reachable by type assertion.
+// eventRunner adapts event.Runner over its struct-of-arrays configuration.
+// In latency mode its serving methods (ServeStep, Idle, NextWake, Wake)
+// stay reachable by type assertion.
 type eventRunner struct {
 	*event.Runner
 	c *flat.Config
@@ -285,3 +285,8 @@ type eventRunner struct {
 
 func (r *eventRunner) State(p int) core.State  { return r.c.StateAt(p) }
 func (r *eventRunner) EnabledAction(p int) int { return int(r.EnabledActionOf(p)) }
+
+// daemonRunner is an event runner in external-daemon mode — the flat
+// engine, or event without latency or gate — narrowed to Runner, so a
+// caller probing for the serving methods finds none.
+type daemonRunner struct{ Runner }

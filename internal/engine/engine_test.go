@@ -240,6 +240,19 @@ func TestSpecErrors(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+	// A latency schedule is event's alone: sim and flat refuse it loudly
+	// instead of dropping it, and the error points at event.
+	for _, name := range []string{engine.Sim, engine.Flat} {
+		for field, spec := range map[string]engine.Spec{
+			"Latency": {Engine: name, Proto: pr, Graph: g, Daemon: sim.Synchronous{}, Latency: event.Constant(1)},
+			"VClock":  {Engine: name, Proto: pr, Graph: g, Daemon: sim.Synchronous{}, VClock: new(event.VirtualClock)},
+		} {
+			_, err := engine.New(spec)
+			if err == nil || !strings.Contains(err.Error(), engine.Event) {
+				t.Errorf("%s with a %s: err = %v, want an error naming %q", name, field, err, engine.Event)
+			}
+		}
+	}
 	// A planted protocol still runs on sim.
 	if _, err := engine.New(engine.Spec{Engine: engine.Sim, Proto: planted, Graph: g, Daemon: sim.Synchronous{}}); err != nil {
 		t.Fatal(err)
@@ -251,6 +264,39 @@ func TestSpecErrors(t *testing.T) {
 	_, err := engine.Run(engine.Spec{Engine: engine.Flat, Proto: pr, Graph: g, Daemon: sim.Synchronous{}, Options: sim.Options{MaxSteps: 5}})
 	if !errors.Is(err, sim.ErrStepLimit) {
 		t.Fatalf("err = %v, want ErrStepLimit", err)
+	}
+}
+
+// TestServeMethodsNeedAWakeQueue: only an event runner in latency mode —
+// the one with a wake queue — offers the serving methods; flat and a
+// daemon-driven event run expose Runner alone.
+func TestServeMethodsNeedAWakeQueue(t *testing.T) {
+	type server interface {
+		ServeStep(limit int64) (bool, error)
+		Idle() bool
+		NextWake() int64
+		Wake(p int, at int64) int64
+	}
+	g := ring(t, 6)
+	for _, c := range []struct {
+		name  string
+		spec  engine.Spec
+		serve bool
+	}{
+		{"flat", engine.Spec{Engine: engine.Flat, Daemon: sim.Synchronous{}}, false},
+		{"gated flat", engine.Spec{Engine: engine.Flat, Daemon: sim.Synchronous{}, Gate: func(p, a int) bool { return true }}, false},
+		{"event daemon", engine.Spec{Engine: engine.Event, Daemon: sim.Synchronous{}}, false},
+		{"event latency", engine.Spec{Engine: engine.Event, Latency: event.Constant(1)}, true},
+		{"gated event", engine.Spec{Engine: engine.Event, Daemon: sim.Synchronous{}, Gate: func(p, a int) bool { return true }}, true},
+	} {
+		c.spec.Proto, c.spec.Graph = core.MustNew(g, 0), g
+		r, err := engine.New(c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, ok := r.(server); ok != c.serve {
+			t.Errorf("%s: serving methods exposed = %v, want %v", c.name, ok, c.serve)
+		}
 	}
 }
 

@@ -13,13 +13,13 @@ import (
 )
 
 // seamOwners are the module-relative directories allowed to construct
-// engine runners: the seam itself and the two engines it wraps.
-var seamOwners = []string{"internal/engine", "internal/flat", "internal/event"}
+// engine runners: the seam itself and the one runner over the flat kernel.
+var seamOwners = []string{"internal/engine", "internal/event"}
 
 // seamCalls are the constructors only the seam may call, by import path.
 var seamCalls = map[string][]string{
-	"snappif/internal/flat":  {"NewRunner", "Run", "FromCore"},
-	"snappif/internal/event": {"NewRunner", "Run"},
+	"snappif/internal/flat":  {"FromCore"},
+	"snappif/internal/event": {"NewRunner"},
 }
 
 // engineNames are the literals a caller would switch on to pick an engine
@@ -144,8 +144,7 @@ import (
 
 func f(name string) {
 	k, _ := fl.FromCore(nil)
-	_, _ = fl.NewRunner(nil, k, nil, fl.Options{})
-	_, _ = event.Run(nil, nil, nil, event.Options{})
+	_, _ = event.NewRunner(nil, k, nil, event.Options{})
 	switch name {
 	case "flat":
 	}
@@ -159,8 +158,8 @@ func f(name string) {
 		t.Fatal(err)
 	}
 	got := seamViolations(fset, f)
-	if len(got) != 4 {
-		t.Fatalf("found %d violations, want 4 (FromCore, NewRunner, Run, case \"flat\"):\n%s", len(got), strings.Join(got, "\n"))
+	if len(got) != 3 {
+		t.Fatalf("found %d violations, want 3 (FromCore, NewRunner, case \"flat\"):\n%s", len(got), strings.Join(got, "\n"))
 	}
 }
 

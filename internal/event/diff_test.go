@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"snappif/internal/core"
+	"snappif/internal/engine"
 	"snappif/internal/event"
 	"snappif/internal/fault"
 	"snappif/internal/flat"
@@ -20,9 +21,11 @@ import (
 // This file is the event engine's differential oracle, the three-way
 // extension of internal/flat's: on every topology × daemon × fault × seed
 // combination the grid covers, the event runner in external-daemon mode must
-// be *bit-identical* to both the generic sim.Runner and the flat runner —
+// be *bit-identical* to both the generic sim.Runner and the flat engine —
 // same Steps/Moves/Rounds, same MovesPerAction, same final state at every
-// processor, same step-limit error, and byte-identical obs JSONL output. In
+// processor, same step-limit error, and byte-identical obs JSONL output.
+// The flat engine is this runner in the same mode, built through
+// internal/engine, so the flat ≡ event leg pins the seam's wiring. In
 // latency mode, the induced wake schedule replayed through the other two
 // engines (event.InducedDaemon) must reproduce the asynchronous run exactly.
 
@@ -83,25 +86,21 @@ func runGeneric(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func
 	return res, rerr, cfg
 }
 
-// runFlat executes the flat engine from an identically built start.
-func runFlat(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func() sim.Daemon, opts flat.Options) (sim.Result, error, *sim.Configuration) {
+// runFlat executes the flat engine, through the engine seam, from an
+// identically built start.
+func runFlat(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func() sim.Daemon, opts sim.Options) (sim.Result, error, *sim.Configuration) {
 	tb.Helper()
 	pr, err := core.New(g, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	k, err := flat.FromCore(pr)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	cfg := sim.NewConfiguration(g, pr)
 	inj.Apply(cfg, pr, rand.New(rand.NewSource(opts.Seed)))
-	fc, err := flat.FromSim(cfg)
-	if err != nil {
-		tb.Fatal(err)
+	res, rerr := engine.Run(engine.Spec{Engine: engine.Flat, Proto: pr, Config: cfg, Daemon: mkDaemon(), Options: opts})
+	if res.Final == nil {
+		tb.Fatalf("flat run did not start: %v", rerr)
 	}
-	res, rerr := flat.Run(fc, k, mkDaemon(), opts)
-	return res, rerr, fc.ToSim()
+	return res, rerr, res.Final
 }
 
 // runEvent executes the event engine from an identically built start. A nil
@@ -126,8 +125,18 @@ func runEvent(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func()
 	if mkDaemon != nil {
 		d = mkDaemon()
 	}
-	res, rerr := event.Run(fc, k, d, opts)
+	res, rerr := drive(tb, fc, k, d, opts)
 	return res, rerr, fc.ToSim()
+}
+
+// drive builds an event runner on fc and steps it to the end of the run.
+func drive(tb testing.TB, fc *flat.Config, k *flat.Protocol, d sim.Daemon, opts event.Options) (sim.Result, error) {
+	tb.Helper()
+	r, err := event.NewRunner(fc, k, d, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sim.Drive(r)
 }
 
 func compareResults(t *testing.T, label string, want, got sim.Result) {
@@ -177,7 +186,7 @@ func TestEventMatchesThreeWay(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						opts := sim.Options{Seed: seed, StopWhen: stop, MaxSteps: steps + 1}
 						genRes, genErr, genCfg := runGeneric(t, g, inj, mkDaemon, opts)
-						flatRes, flatErr, flatCfg := runFlat(t, g, inj, mkDaemon, flat.Options{Options: opts})
+						flatRes, flatErr, flatCfg := runFlat(t, g, inj, mkDaemon, opts)
 						evtRes, evtErr, evtCfg := runEvent(t, g, inj, mkDaemon, event.Options{Options: opts})
 						if (genErr == nil) != (flatErr == nil) || (genErr == nil) != (evtErr == nil) {
 							t.Fatalf("error mismatch: generic %v, flat %v, event %v", genErr, flatErr, evtErr)
@@ -323,7 +332,7 @@ func TestEventZeroLatencyMatchesSynchronous(t *testing.T) {
 			name := fmt.Sprintf("%s/%s", g.Name(), inj.Name)
 			t.Run(name, func(t *testing.T) {
 				opts := sim.Options{Seed: 17, StopWhen: stop, MaxSteps: steps + 1}
-				wantRes, wantErr, wantCfg := runFlat(t, g, inj, mk, flat.Options{Options: opts})
+				wantRes, wantErr, wantCfg := runFlat(t, g, inj, mk, opts)
 				gotRes, gotErr, gotCfg := runEvent(t, g, inj, nil, event.Options{
 					Options: opts, Latency: event.Constant(0),
 				})
@@ -365,8 +374,7 @@ func TestEventLatencyMatchesInducedDaemon(t *testing.T) {
 						Options: opts, Latency: lat,
 					})
 					flatRes, flatErr, flatCfg := runFlat(t, g, inj,
-						func() sim.Daemon { return event.NewInducedDaemon(lat) },
-						flat.Options{Options: opts})
+						func() sim.Daemon { return event.NewInducedDaemon(lat) }, opts)
 					genRes, genErr, genCfg := runGeneric(t, g, inj,
 						func() sim.Daemon { return event.NewInducedDaemon(lat) }, opts)
 					if (evtErr == nil) != (flatErr == nil) || (evtErr == nil) != (genErr == nil) {

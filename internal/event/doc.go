@@ -1,7 +1,7 @@
-// Package event is the discrete-event execution engine: the third
-// scheduling semantics over the paper's PIF protocol, built directly on the
-// flat engine's struct-of-arrays state and guard/action kernels
-// (internal/flat), with per-step cost bounded by the *active frontier*
+// Package event is the runner over the flat kernel's struct-of-arrays
+// state and guard/action kernels (internal/flat): the one stepping loop of
+// both the flat engine (external-daemon mode) and the discrete-event engine
+// (latency mode), with per-step cost bounded by the *active frontier*
 // instead of N.
 //
 // # Model
@@ -37,10 +37,12 @@
 // # Equivalence
 //
 // With Options.Latency nil, the runner executes an external daemon's
-// schedule and reproduces flat.Runner (hence sim.Runner) bit for bit: same
-// RNG draw sequence, moves, rounds, fairness forcing, observer order, and
-// error contract — the synchronous daemon is the degenerate zero-latency
-// case. With a Latency, the same schedule can drive the other engines via
+// schedule and reproduces sim.Runner bit for bit: same RNG draw sequence,
+// moves, rounds, fairness forcing, observer order, and error contract —
+// the synchronous daemon is the degenerate zero-latency case. This mode is
+// the flat engine: internal/engine builds it under the name "flat" (and
+// "event" without a latency), so there is no second copy of the loop. With
+// a Latency, the same schedule can drive the other engines via
 // InducedDaemon, which replays the wake queue as a plain sim.Daemon with an
 // identical RNG stream. The three-way differential grid and the
 // three-engine fuzz target in this package enforce both refinements
@@ -49,12 +51,11 @@
 // # Cost
 //
 // Per committed step: O(batch + Σ degrees of the batch + enabled-set
-// churn). Round accounting is epoch-based (a sequence number instead of the
-// flat engine's Θ(N/64) pending-bitset copy per round boundary), so nothing
-// on the step path scales with N once the configuration is built — at
-// N = 10⁶ with a one-processor cleaning frontier the engine steps three
-// orders of magnitude faster than the flat engine (see BENCH_scale.json's
-// line-frontier cells).
+// churn). Round accounting is epoch-based (a sequence number instead of a
+// Θ(N/64) pending-bitset copy per round boundary), so nothing on the step
+// path scales with N once the configuration is built: with a one-processor
+// cleaning frontier the step costs the same at N = 10⁵ and N = 10⁶ (see
+// BENCH_scale.json's line-frontier cells).
 //
 // See DESIGN.md §12 for the queue layout, the invalidation rules, and the
 // latency model.

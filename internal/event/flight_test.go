@@ -73,7 +73,7 @@ func TestFlightDumpEventLatencyEngine(t *testing.T) {
 			}
 			tel := telemetry.New(telemetry.Config{SampleEvery: 16, FlightDepth: 4, FlightEvery: 16})
 			const seed, steps = 9, 150
-			if _, err := event.Run(fc, kern, nil, event.Options{
+			if _, err := drive(t, fc, kern, nil, event.Options{
 				Options: sim.Options{
 					MaxSteps: steps + 1,
 					Seed:     seed,
@@ -132,7 +132,7 @@ func TestEventTelemetryVirtualTimeStamps(t *testing.T) {
 	}
 	tel := telemetry.New(telemetry.Config{SampleEvery: 1})
 	const steps = 200
-	res, err := event.Run(fc, kern, nil, event.Options{
+	res, err := drive(t, fc, kern, nil, event.Options{
 		Options: sim.Options{
 			MaxSteps: steps + 1,
 			Seed:     5,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"snappif/internal/core"
+	"snappif/internal/engine"
 	"snappif/internal/event"
 	"snappif/internal/flat"
 	"snappif/internal/graph"
@@ -127,27 +128,13 @@ func FuzzThreeEngines(f *testing.F) {
 		}, "generic")
 
 		flatRes, flatCfg, flatTrace := traced(func(pr *core.Protocol, tr *obs.Tracer, o sim.Options) (sim.Result, error, *sim.Configuration) {
-			k, err := flat.FromCore(pr)
-			if err != nil {
-				t.Fatal(err)
-			}
 			cfg := sim.NewConfiguration(g, pr)
 			inj.Apply(cfg, pr, rand.New(rand.NewSource(seed)))
-			fc, err := flat.FromSim(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := flat.NewRunner(fc, k, dm.mk(), flat.Options{Options: o})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr.BeginRun(g, dm.mk().Name(), seed, r.Mirror())
-			for {
-				done, serr := r.Step()
-				if done {
-					return r.Result(), serr, fc.ToSim()
-				}
-			}
+			// The flat engine steps a copy of cfg; the tracer starts from
+			// cfg and follows the mirror the runner hands every OnStep.
+			tr.BeginRun(g, dm.mk().Name(), seed, cfg)
+			res, rerr := engine.Run(engine.Spec{Engine: engine.Flat, Proto: pr, Config: cfg, Daemon: dm.mk(), Options: o})
+			return res, rerr, res.Final
 		}, "flat")
 
 		evtRes, evtCfg, evtTrace := traced(func(pr *core.Protocol, tr *obs.Tracer, o sim.Options) (sim.Result, error, *sim.Configuration) {

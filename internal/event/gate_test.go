@@ -161,7 +161,7 @@ func TestEventGateAdmittedMatchesUngated(t *testing.T) {
 	}
 	fcB := fcA.Clone()
 
-	resA, err := event.Run(fcA, k, nil, event.Options{
+	resA, err := drive(t, fcA, k, nil, event.Options{
 		Options: sim.Options{Seed: 3, MaxSteps: 1 << 20, StopWhen: stop},
 		Latency: event.Constant(2),
 	})
@@ -226,10 +226,6 @@ func TestEventGateRejections(t *testing.T) {
 	if _, err := event.NewRunner(fc, k, sim.Synchronous{}, event.Options{Gate: gate}); err == nil ||
 		!strings.Contains(err.Error(), "Gate requires") {
 		t.Fatalf("NewRunner with Gate but no Latency: err = %v", err)
-	}
-	if _, err := event.Run(fc, k, nil, event.Options{Latency: event.Constant(1), Gate: gate}); err == nil ||
-		!strings.Contains(err.Error(), "ServeStep") {
-		t.Fatalf("Run with Gate: err = %v", err)
 	}
 
 	// ServeStep outside latency mode is rejected per call.

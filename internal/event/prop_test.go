@@ -177,7 +177,7 @@ func TestEventLatencyProgress(t *testing.T) {
 						t.Fatal(err)
 					}
 					co := check.NewCycleObserver(pr)
-					res, err := event.Run(fc, k, nil, event.Options{
+					res, err := drive(t, fc, k, nil, event.Options{
 						Options: sim.Options{
 							Seed:      seed,
 							MaxSteps:  200_000,

@@ -13,7 +13,7 @@ import (
 )
 
 // Options configures an event-engine run. The embedded sim.Options keep
-// their meaning and defaults, exactly as in the flat engine.
+// their meaning and defaults, exactly as in the sim engine.
 type Options struct {
 	sim.Options
 
@@ -21,8 +21,8 @@ type Options struct {
 	// schedule is generated internally from the virtual-time wake queue and
 	// this per-link delay distribution, and the daemon argument is ignored
 	// (may be nil). When nil, the runner executes an external daemon's
-	// schedule — the degenerate zero-latency case — with flat.Runner's
-	// exact observable behavior.
+	// schedule — the degenerate zero-latency case — with sim.Runner's
+	// exact observable behavior; this mode is the flat engine.
 	Latency Latency
 
 	// Telemetry, when non-nil, receives the per-step aggregation hook. In
@@ -31,7 +31,8 @@ type Options struct {
 	Telemetry *telemetry.Telemetry
 
 	// TelemetryMeta labels the run; NewRunner fills G, Engine ("event"),
-	// Daemon, and NextMsg when unset.
+	// Daemon, and NextMsg when unset. The engine seam stamps Engine "flat"
+	// for flat runs.
 	TelemetryMeta telemetry.RunMeta
 
 	// VClock, when non-nil, is advanced to the run's virtual time after
@@ -45,43 +46,33 @@ type Options struct {
 	// cure — whoever opens the gate must call Runner.Wake for the withheld
 	// processor. A fully gated quiescent schedule parks (Idle) instead of
 	// reporting a drained-queue invariant violation or terminating, so a
-	// gated runner must be driven through ServeStep, never Run.
+	// gated runner must be driven through ServeStep, never to completion
+	// by sim.Drive (engine.Run rejects a gate for this reason).
 	Gate func(p int, a int32) bool
 }
 
-// Run executes the kernel on configuration c (mutated in place) until a
-// terminal configuration, the stop predicate, or the step limit — the
-// event-engine counterpart of flat.Run, with the same error contract.
-func Run(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (sim.Result, error) {
-	if opts.Gate != nil {
-		// A gated schedule can park without terminating; Run would spin on
-		// the no-progress steps forever.
-		return sim.Result{}, fmt.Errorf("event: Run does not support a gated schedule; drive Runner.ServeStep")
-	}
-	r, err := NewRunner(c, k, d, opts)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return sim.Drive(r)
-}
-
-// Runner is the discrete-event stepping loop over the flat engine's
-// struct-of-arrays state. Per-step work is bounded by the step's activity —
-// the batch, its closed neighborhoods (the kernel's statically certified
-// invalidation radius), and the enabled-set churn — never by N:
+// Runner is the one stepping loop over the flat kernel's struct-of-arrays
+// state. Per-step work is bounded by the step's activity — the batch, its
+// closed neighborhoods (the kernel's statically certified invalidation
+// radius), and the enabled-set churn — never by N:
 //
-//   - The guard cache (hbits + per-processor action slot) re-evaluates only
-//     processors whose neighborhood changed, exactly like flat.Runner.
-//   - Round accounting is epoch-based: a sequence number replaces the flat
-//     engine's Θ(N/64) pending-bitset copy at every round boundary, which
-//     at N = 10⁶ under the synchronous daemon is an O(N) cost *per step*.
+//   - The guard cache (hierarchical enabled bitset + per-processor action
+//     slot) re-evaluates only processors whose neighborhood changed, and
+//     the choice-buffer rebuild skips empty bitset regions.
+//   - Fairness ages are virtual: lastReset[p] records the step at which p's
+//     age was last zeroed, so aging costs nothing per step instead of the
+//     sim runner's Θ(N) sweep.
+//   - Round accounting is epoch-based: a sequence number replaces a Θ(N/64)
+//     pending-bitset copy at every round boundary, which at N = 10⁶ under
+//     the synchronous daemon would be an O(N) cost *per step*.
 //   - In latency mode the schedule itself comes from the wake queue, so a
 //     one-processor frontier steps in O(1) regardless of N.
 //
-// In external-daemon mode the Runner reproduces flat.Runner (and therefore
-// sim.Runner) bit for bit: same RNG draw sequence, same moves, rounds,
+// In external-daemon mode — the flat engine — the Runner reproduces
+// sim.Runner bit for bit: same RNG draw sequence, same moves, rounds,
 // fairness forcing, observer callback order, and step-limit error. The
-// three-way differential grid and fuzz target enforce this.
+// differential grids and fuzz targets in internal/flat and this package
+// enforce this.
 type Runner struct {
 	c    *flat.Config
 	k    *flat.Protocol
@@ -94,7 +85,9 @@ type Runner struct {
 	res   sim.Result
 	rs    sim.RunState
 
-	// Guard cache, mirroring flat.Runner.
+	// Guard cache: acts[p] is p's enabled action or flat.NoAction; enabled
+	// is the corresponding processor set; buf is the choice list in
+	// ascending processor order, rebuilt only after a change.
 	acts     []int32
 	enabled  *bitset.Hier
 	buf      []sim.Choice
@@ -165,8 +158,10 @@ func (s *telSource) Census() (b, f, cl int) { return s.c.Census() }
 // NewRunner prepares an event-engine run of kernel k on configuration c
 // (mutated in place). With opts.Latency nil the schedule comes from daemon
 // d; with a Latency the schedule is generated internally and d may be nil.
-// Mutating observers are rejected for the same mirror-desync reason as in
-// the flat engine.
+// A mirror boxed configuration is maintained exactly when observers or a
+// stop predicate need one; mutating observers are rejected — they would
+// desync the mirror from the flat state (use the sim engine for mid-run
+// fault injection).
 func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*Runner, error) {
 	if c.N() != k.Graph().N() {
 		return nil, fmt.Errorf("event: configuration has %d processors, kernel network %d", c.N(), k.Graph().N())
@@ -291,8 +286,10 @@ func (r *Runner) daemonName() string {
 	return r.d.Name()
 }
 
-// Result returns the run summary accumulated so far, with flat.Runner's
-// exact contract.
+// Result returns the run summary accumulated so far. Final is materialized
+// when the run ends; before that it is nil (the live state is the flat
+// configuration). MovesPerAction has a key for exactly the actions that
+// executed at least once, as in sim.Runner's.
 func (r *Runner) Result() sim.Result {
 	for a, n := range r.actionMoves {
 		if n != 0 {
@@ -458,7 +455,8 @@ func (r *Runner) Step() (done bool, err error) {
 			r.finish()
 			return true, r.err
 		}
-		// Selection: same buffers, same RNG draw sequence as flat.Runner.
+		// Selection: the daemon gets its own copy (it may filter in
+		// place) — same buffers, same RNG draw sequence as sim.Runner.
 		r.daemonBuf = append(r.daemonBuf[:0], enabled...)
 		sel := r.d.Select(r.res.Steps, r.facade, r.daemonBuf, r.rng)
 		r.selBuf = append(r.selBuf[:0], sel...)
@@ -716,8 +714,8 @@ func (r *Runner) scheduleWakes(selected []sim.Choice) {
 
 // telStep assembles and delivers the step's StepInfo. In latency mode the
 // Step stamp is the batch's virtual time — sparse, strictly increasing; in
-// external-daemon mode it equals the committed step count, making the
-// telemetry stream byte-compatible with the flat engine's.
+// external-daemon mode it equals the committed step count, as on the sim
+// engine.
 func (r *Runner) telStep(selected []sim.Choice, packed bool, rootBefore core.Phase, db, df, dc int, startNS, evalNS, commitNS int64) {
 	root := r.k.Root
 	var stepNS int64
@@ -767,7 +765,7 @@ func (r *Runner) choices() []sim.Choice {
 }
 
 // Enabled returns a copy of the currently enabled choices in ascending
-// processor order, mirroring flat.Runner.Enabled for the exhaustive
+// processor order, mirroring sim.Runner.Enabled for the exhaustive
 // explorer.
 func (r *Runner) Enabled() []sim.Choice {
 	src := r.choices()
@@ -776,9 +774,10 @@ func (r *Runner) Enabled() []sim.Choice {
 	return out
 }
 
-// forceAged is flat.Runner.forceAged: every enabled processor whose virtual
-// age reached the fairness bound joins the selection, consuming one Intn(1)
-// draw to stay aligned with the generic engine. Latency mode never calls it
+// forceAged is sim.Runner.forceAged over virtual ages: every enabled
+// processor whose age reached the fairness bound joins the selection,
+// consuming one Intn(1) draw to stay aligned with the sim engine (the PIF
+// guards are mutually exclusive, so each processor has one choice). Latency mode never calls it
 // — the induced schedule is intrinsically weakly fair (an enabled processor
 // executes within Latency.Max()+1 ticks), and the differential harness pins
 // equivalence with flat-under-InducedDaemon for FairnessAge > Max()+1,

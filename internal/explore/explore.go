@@ -2,10 +2,11 @@
 // real PIF engines. Where internal/mc enumerates an abstract transition
 // relation it computes itself from the protocol's guards, explore enumerates
 // every daemon schedule of the actual engine under test — the boxed
-// sim.Runner or the large-N flat.Runner, forced one selection at a time
-// through its public stepping interface — so a clean certification table is
-// a statement about the shipped implementation, including its guard caches
-// and incremental refresh, not about a model of it.
+// sim.Runner or the large-N event.Runner that steps the flat engine, forced
+// one selection at a time through its public stepping interface — so a
+// clean certification table is a statement about the shipped
+// implementation, including its guard caches and incremental refresh, not
+// about a model of it.
 //
 // The explorer is a deterministic layered BFS over a quotient state space
 // (payload extensions zeroed, message registers reduced to the "carries the

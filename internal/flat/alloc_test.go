@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"snappif/internal/core"
+	"snappif/internal/engine"
 	"snappif/internal/fault"
 	"snappif/internal/flat"
 	"snappif/internal/graph"
@@ -14,29 +15,21 @@ import (
 // warmFlatRunner builds a flat runner on g under d and steps it past the
 // warm-up horizon: enough for the choice/dirty buffers to hit their
 // high-water marks and the MovesPerAction map to hold every label.
-func warmFlatRunner(tb testing.TB, g *graph.Graph, d sim.Daemon, opts flat.Options, warmup int) *flat.Runner {
+func warmFlatRunner(tb testing.TB, g *graph.Graph, d sim.Daemon, warmup int) engine.Runner {
 	tb.Helper()
 	pr, err := core.New(g, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	k, err := flat.FromCore(pr)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	cfg := sim.NewConfiguration(g, pr)
 	fault.UniformRandom().Apply(cfg, pr, rand.New(rand.NewSource(3)))
-	fc, err := flat.FromSim(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 1 << 30
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	r, err := flat.NewRunner(fc, k, d, opts)
+	r, err := engine.New(engine.Spec{
+		Engine:  engine.Flat,
+		Proto:   pr,
+		Config:  cfg,
+		Daemon:  d,
+		Options: sim.Options{Seed: 1, MaxSteps: 1 << 30},
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -58,7 +51,7 @@ func TestFlatZeroAllocsPerStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := warmFlatRunner(t, g, sim.Synchronous{}, flat.Options{}, 2000)
+	r := warmFlatRunner(t, g, sim.Synchronous{}, 2000)
 	allocs := testing.AllocsPerRun(200, func() {
 		if done, err := r.Step(); done {
 			t.Fatalf("run ended mid-measurement: %v", err)
@@ -76,7 +69,7 @@ func TestFlatZeroAllocsPerStepDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := warmFlatRunner(t, g, sim.DistributedRandom{P: 0.5}, flat.Options{}, 2000)
+	r := warmFlatRunner(t, g, sim.DistributedRandom{P: 0.5}, 2000)
 	allocs := testing.AllocsPerRun(200, func() {
 		if done, err := r.Step(); done {
 			t.Fatalf("run ended mid-measurement: %v", err)

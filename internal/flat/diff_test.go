@@ -9,18 +9,20 @@ import (
 	"testing"
 
 	"snappif/internal/core"
+	"snappif/internal/engine"
 	"snappif/internal/fault"
-	"snappif/internal/flat"
 	"snappif/internal/graph"
 	"snappif/internal/obs"
 	"snappif/internal/sim"
 )
 
 // This file is the flat engine's differential oracle: on every topology ×
-// daemon × fault × seed combination the grid covers, the flat runner must be
-// *bit-identical* to the generic sim.Runner — same Steps/Moves/Rounds, same
-// MovesPerAction, same final state at every processor, same step-limit
-// error, and (in the traced variant) byte-identical obs JSONL output.
+// daemon × fault × seed combination the grid covers, the flat engine — the
+// flat kernel stepped by the event runner in external-daemon mode, built
+// through internal/engine — must be *bit-identical* to the generic
+// sim.Runner: same Steps/Moves/Rounds, same MovesPerAction, same final
+// state at every processor, same step-limit error, and (in the traced
+// variant) byte-identical obs JSONL output.
 
 // diffTopologies mirrors the reference-runner grid's shapes: path, cycle,
 // mesh, hub, dense random — all small enough for many (daemon × fault ×
@@ -81,24 +83,26 @@ func runGeneric(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func
 }
 
 // runFlat executes the flat engine from an identically built start.
-func runFlat(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func() sim.Daemon, opts flat.Options) (sim.Result, error, *sim.Configuration) {
+func runFlat(tb testing.TB, g *graph.Graph, inj fault.Injector, mkDaemon func() sim.Daemon, opts sim.Options) (sim.Result, error, *sim.Configuration) {
 	tb.Helper()
 	pr, err := core.New(g, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	k, err := flat.FromCore(pr)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	cfg := sim.NewConfiguration(g, pr)
 	inj.Apply(cfg, pr, rand.New(rand.NewSource(opts.Seed)))
-	fc, err := flat.FromSim(cfg)
-	if err != nil {
-		tb.Fatal(err)
+	return runFlatFrom(tb, pr, cfg, mkDaemon(), opts)
+}
+
+// runFlatFrom runs the flat engine from cfg (copied, not stepped) and
+// returns the result, the run's error, and the final configuration.
+func runFlatFrom(tb testing.TB, pr *core.Protocol, cfg *sim.Configuration, d sim.Daemon, opts sim.Options) (sim.Result, error, *sim.Configuration) {
+	tb.Helper()
+	res, rerr := engine.Run(engine.Spec{Engine: engine.Flat, Proto: pr, Config: cfg, Daemon: d, Options: opts})
+	if res.Final == nil {
+		tb.Fatalf("flat run did not start: %v", rerr)
 	}
-	res, rerr := flat.Run(fc, k, mkDaemon(), opts)
-	return res, rerr, fc.ToSim()
+	return res, rerr, res.Final
 }
 
 func compareResults(t *testing.T, want, got sim.Result) {
@@ -148,7 +152,7 @@ func TestFlatMatchesGeneric(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						opts := sim.Options{Seed: seed, StopWhen: stop, MaxSteps: steps + 1}
 						wantRes, wantErr, wantCfg := runGeneric(t, g, inj, mkDaemon, opts)
-						gotRes, gotErr, gotCfg := runFlat(t, g, inj, mkDaemon, flat.Options{Options: opts})
+						gotRes, gotErr, gotCfg := runFlat(t, g, inj, mkDaemon, opts)
 						if (wantErr == nil) != (gotErr == nil) {
 							t.Fatalf("error mismatch: generic %v, flat %v", wantErr, gotErr)
 						}
@@ -196,43 +200,27 @@ func TestFlatTraceByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// Flat, traced via the mirror configuration.
+				// Flat, traced: the tracer starts from the start configuration
+				// and follows the mirror the runner hands every OnStep.
 				pr2, err := core.New(g, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				k, err := flat.FromCore(pr2)
 				if err != nil {
 					t.Fatal(err)
 				}
 				cfg2 := sim.NewConfiguration(g, pr2)
 				inj.Apply(cfg2, pr2, rand.New(rand.NewSource(seed)))
-				fc, err := flat.FromSim(cfg2)
-				if err != nil {
-					t.Fatal(err)
-				}
 				var buf2 bytes.Buffer
 				tr2 := obs.New(&buf2, obs.WithProtocol(pr2))
-				r, err := flat.NewRunner(fc, k, mkDaemon(), flat.Options{
+				tr2.BeginRun(g, mkDaemon().Name(), seed, cfg2)
+				res2, err2 := engine.Run(engine.Spec{
+					Engine: engine.Flat, Proto: pr2, Config: cfg2, Daemon: mkDaemon(),
 					Options: sim.Options{
 						Seed: seed, StopWhen: stop, MaxSteps: steps + 1,
 						Observers: []sim.Observer{tr2},
 					},
 				})
-				if err != nil {
-					t.Fatal(err)
+				if err2 != nil {
+					t.Fatal(err2)
 				}
-				tr2.BeginRun(g, mkDaemon().Name(), seed, r.Mirror())
-				for {
-					done, err := r.Step()
-					if done {
-						if err != nil {
-							t.Fatal(err)
-						}
-						break
-					}
-				}
-				res2 := r.Result()
 				if err := tr2.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -269,7 +257,7 @@ func TestFlatStepLimitError(t *testing.T) {
 	opts := sim.Options{Seed: 3, MaxSteps: 50}
 	mk := func() sim.Daemon { return sim.Synchronous{} }
 	_, wantErr, _ := runGeneric(t, g, fault.Clean(), mk, opts)
-	_, gotErr, _ := runFlat(t, g, fault.Clean(), mk, flat.Options{Options: opts})
+	_, gotErr, _ := runFlat(t, g, fault.Clean(), mk, opts)
 	if wantErr == nil || gotErr == nil {
 		t.Fatalf("expected both engines to hit the step limit: generic %v, flat %v", wantErr, gotErr)
 	}
@@ -289,30 +277,19 @@ func (mutObserver) OnStep(int, []sim.Choice, *sim.Configuration) {}
 func (mutObserver) MutatesConfiguration() bool                   { return true }
 
 // TestFlatRejectsMutatingObserver: mid-run fault injection would desync the
-// mirror from the flat state, so NewRunner must reject it loudly instead of
-// silently diverging.
+// mirror from the flat state, so building the runner must fail loudly
+// instead of silently diverging.
 func TestFlatRejectsMutatingObserver(t *testing.T) {
 	g, err := graph.Ring(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := core.New(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := flat.FromCore(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc, err := flat.NewConfig(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = flat.NewRunner(fc, k, sim.Synchronous{}, flat.Options{
+	_, err = engine.New(engine.Spec{
+		Engine: engine.Flat, Proto: core.MustNew(g, 0), Graph: g, Daemon: sim.Synchronous{},
 		Options: sim.Options{Observers: []sim.Observer{mutObserver{}}},
 	})
 	if err == nil {
-		t.Fatal("NewRunner accepted a mutating observer")
+		t.Fatal("engine.New accepted a mutating observer on flat")
 	}
 }
 
@@ -344,23 +321,15 @@ func TestFlatPrintedGuards(t *testing.T) {
 		wantRes, wantErr := sim.Run(cfg1, pr1, mkDaemon(), opts)
 
 		pr2 := newProto()
-		k, err := flat.FromCore(pr2)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg2 := sim.NewConfiguration(g, pr2)
 		inj.Apply(cfg2, pr2, rand.New(rand.NewSource(opts.Seed)))
-		fc, err := flat.FromSim(cfg2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotRes, gotErr := flat.Run(fc, k, mkDaemon(), flat.Options{Options: opts})
+		gotRes, gotErr, gotCfg := runFlatFrom(t, pr2, cfg2, mkDaemon(), opts)
 
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: error mismatch: generic %v, flat %v", inj.Name, wantErr, gotErr)
 		}
 		compareResults(t, wantRes, gotRes)
-		compareStates(t, cfg1, fc.ToSim())
+		compareStates(t, cfg1, gotCfg)
 	}
 }
 
@@ -396,25 +365,17 @@ func TestFlatAggregation(t *testing.T) {
 	wantRes, wantErr := sim.Run(cfg1, pr1, mkDaemon(), opts)
 
 	pr2 := newProto()
-	k, err := flat.FromCore(pr2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg2 := sim.NewConfiguration(g, pr2)
 	for p := 0; p < g.N(); p++ {
 		s := core.At(cfg2, p)
 		s.Val = int64(10 * (p + 1))
 		core.Set(cfg2, p, s)
 	}
-	fc, err := flat.FromSim(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRes, gotErr := flat.Run(fc, k, mkDaemon(), flat.Options{Options: opts})
+	gotRes, gotErr, gotCfg := runFlatFrom(t, pr2, cfg2, mkDaemon(), opts)
 
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("error mismatch: generic %v, flat %v", wantErr, gotErr)
 	}
 	compareResults(t, wantRes, gotRes)
-	compareStates(t, cfg1, fc.ToSim())
+	compareStates(t, cfg1, gotCfg)
 }

@@ -1,7 +1,7 @@
-// Package flat is the large-N engine for the paper's PIF protocol: the same
-// algorithm, daemons, and accounting as internal/sim, specialized to
-// struct-of-arrays state so that simulating 10⁵–10⁶-processor networks is
-// bounded by memory bandwidth instead of pointer chasing.
+// Package flat is the large-N kernel for the paper's PIF protocol: the same
+// algorithm as internal/sim, specialized to struct-of-arrays state so that
+// simulating 10⁵–10⁶-processor networks is bounded by memory bandwidth
+// instead of pointer chasing.
 //
 // The generic engine stores a configuration as []sim.State — one
 // heap-allocated, interface-boxed *core.State per processor — and evaluates
@@ -13,10 +13,13 @@
 // on processor indices: no interface values, no per-state allocation, and
 // neighbor scans walk one contiguous int32 slice.
 //
-// Runner reproduces internal/sim.Runner bit for bit — same daemon choices
-// (identical RNG draw sequence), same moves, rounds, fairness forcing, and
-// observer callbacks — which the differential grid and fuzz oracle in this
-// package enforce against every topology/daemon/fault combination.
+// The package has no stepping loop of its own: the flat engine is this
+// kernel stepped by internal/event's runner under an external daemon,
+// built by internal/engine. That engine reproduces internal/sim.Runner bit
+// for bit — same daemon choices (identical RNG draw sequence), same moves,
+// rounds, fairness forcing, and observer callbacks — which the
+// differential grid and fuzz oracle in this package enforce against every
+// topology/daemon/fault combination.
 //
 // See DESIGN.md §9 for the memory layout and the determinism argument.
 package flat

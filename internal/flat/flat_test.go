@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"snappif/internal/core"
+	"snappif/internal/engine"
 	"snappif/internal/fault"
 	"snappif/internal/flat"
 	"snappif/internal/graph"
@@ -118,9 +119,9 @@ func TestConfigCloneAndCopyFrom(t *testing.T) {
 	}
 }
 
-// TestFromCoreValidates: a kernel built for one network refuses a
-// configuration of another size, and FromCore carries the source
-// parameters over.
+// TestFromCoreValidates: FromCore carries the source parameters over, and
+// a flat run of a protocol built for one network refuses a configuration
+// of another size.
 func TestFromCoreValidates(t *testing.T) {
 	g, err := graph.Ring(9)
 	if err != nil {
@@ -149,51 +150,41 @@ func TestFromCoreValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kOther, err := flat.FromCore(prOther)
-	if err != nil {
-		t.Fatal(err)
-	}
 	big, err := flat.NewConfig(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := flat.NewRunner(big, kOther, sim.Synchronous{}, flat.Options{}); err == nil {
-		t.Fatal("NewRunner accepted a configuration from a different network")
+	if _, err := engine.New(engine.Spec{Engine: engine.Flat, Proto: prOther, Config: big.ToSim(), Daemon: sim.Synchronous{}}); err == nil {
+		t.Fatal("engine.New accepted a configuration from a different network")
 	}
 }
 
-// TestFlatRunnerStepEquivalentToRun pins the stepping API to the batch API.
+// TestFlatRunnerStepEquivalentToRun pins the stepping API (engine.New and
+// Step) to the batch API (engine.Run) on the flat engine.
 func TestFlatRunnerStepEquivalentToRun(t *testing.T) {
 	g, err := graph.Ring(9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := flat.Options{Options: sim.Options{
-		Seed:     3,
-		StopWhen: func(rs *sim.RunState) bool { return rs.Steps >= 500 },
-	}}
-
 	run := func(step bool) (sim.Result, *sim.Configuration) {
-		pr, err := core.New(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k, err := flat.FromCore(pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc, err := flat.NewConfig(k)
-		if err != nil {
-			t.Fatal(err)
+		spec := engine.Spec{
+			Engine: engine.Flat,
+			Proto:  core.MustNew(g, 0),
+			Graph:  g,
+			Daemon: sim.DistributedRandom{P: 0.5},
+			Options: sim.Options{
+				Seed:     3,
+				StopWhen: func(rs *sim.RunState) bool { return rs.Steps >= 500 },
+			},
 		}
 		if !step {
-			res, err := flat.Run(fc, k, sim.DistributedRandom{P: 0.5}, opts)
+			res, err := engine.Run(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res, fc.ToSim()
+			return res, res.Final
 		}
-		r, err := flat.NewRunner(fc, k, sim.DistributedRandom{P: 0.5}, opts)
+		r, err := engine.New(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +194,8 @@ func TestFlatRunnerStepEquivalentToRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return r.Result(), fc.ToSim()
+				res := r.Result()
+				return res, res.Final
 			}
 		}
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"snappif/internal/core"
-	"snappif/internal/flat"
+	"snappif/internal/engine"
 	"snappif/internal/graph"
 	"snappif/internal/obs"
 	"snappif/internal/sim"
@@ -93,43 +93,27 @@ func FuzzFlatVsGeneric(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		// Flat, traced via the mirror.
+		// Flat, traced from the start configuration; the tracer follows
+		// the mirror the runner hands every OnStep.
 		pr2, err := core.New(g, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k, err := flat.FromCore(pr2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg2 := sim.NewConfiguration(g, pr2)
 		inj.Apply(cfg2, pr2, rand.New(rand.NewSource(seed)))
-		fc, err := flat.FromSim(cfg2)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var buf2 bytes.Buffer
 		tr2 := obs.New(&buf2, obs.WithProtocol(pr2))
-		r, err := flat.NewRunner(fc, k, dm.mk(), flat.Options{
+		tr2.BeginRun(g, dm.mk().Name(), seed, cfg2)
+		res2, err2 := engine.Run(engine.Spec{
+			Engine: engine.Flat, Proto: pr2, Config: cfg2, Daemon: dm.mk(),
 			Options: sim.Options{
 				Seed: seed, StopWhen: stop, MaxSteps: steps + 1,
 				Observers: []sim.Observer{tr2},
 			},
 		})
-		if err != nil {
-			t.Fatal(err)
+		if err2 != nil {
+			t.Fatal(err2)
 		}
-		tr2.BeginRun(g, dm.mk().Name(), seed, r.Mirror())
-		for {
-			done, serr := r.Step()
-			if done {
-				if serr != nil {
-					t.Fatal(serr)
-				}
-				break
-			}
-		}
-		res2 := r.Result()
 		if err := tr2.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +123,7 @@ func FuzzFlatVsGeneric(f *testing.F) {
 			t.Fatalf("results diverge on %s/%s/%s/seed=%d:\ngeneric %+v\nflat    %+v",
 				g.Name(), dm.name, inj.Name, seed, res1, res2)
 		}
-		final2 := fc.ToSim()
+		final2 := res2.Final
 		for p := 0; p < g.N(); p++ {
 			if ws, gs := core.At(cfg1, p), core.At(final2, p); ws != gs {
 				t.Fatalf("proc %d final state diverges on %s/%s/%s/seed=%d: generic %+v, flat %+v",

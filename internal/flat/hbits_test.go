@@ -7,8 +7,7 @@ import (
 	"snappif/internal/bitset"
 )
 
-// These tests pin the engine's enabled-set index (bitset.Hier) and its
-// round-pending snapshot (bitset.Bits.CopyFrom of the level-0 words).
+// These tests pin the runner's enabled-set index (bitset.Hier).
 
 // TestHbitsAgainstMap drives the hierarchical bitset with a random
 // set/clear workload and checks membership, population count, and ascending
@@ -72,23 +71,5 @@ func TestHbitsIdempotentOps(t *testing.T) {
 	h.ForEach(func(int) { visited = true })
 	if visited {
 		t.Fatal("forEach visited an ID in an empty set")
-	}
-}
-
-// TestBitmarkCopyFromHbits: CopyFrom(Words()) mirrors the level-0 words.
-func TestBitmarkCopyFromHbits(t *testing.T) {
-	const n = 300
-	h := bitset.NewHier(n)
-	for _, i := range []int{0, 63, 64, 131, 299} {
-		h.Set(i)
-	}
-	b := bitset.New(n)
-	b.Set(5) // stale bit that copyFrom must overwrite
-	b.CopyFrom(h.Words())
-	for i := 0; i < n; i++ {
-		want := h.Test(i)
-		if b.Test(i) != want {
-			t.Fatalf("pending bit %d = %v, want %v", i, b.Test(i), want)
-		}
 	}
 }

@@ -119,8 +119,9 @@ type Options struct {
 	// "flat", or "event".
 	Engine string
 	// Latency is the event engine's per-link delay distribution; nil means
-	// event.Constant(1), the gated event runner's default. Ignored by sim
-	// and flat (synchronous semantics).
+	// event.Constant(1), the gated event runner's default. sim and flat
+	// run synchronous steps and have no latency schedule, so New rejects
+	// a Latency on them.
 	Latency event.Latency
 	// Initiators lists the lane roots — one independent protocol instance
 	// per initiator, all advancing on the shared virtual clock. Default

@@ -98,16 +98,16 @@ func Run(c *Configuration, p Protocol, d Daemon, opts Options) (Result, error) {
 }
 
 // Stepper is the stepping contract every engine's runner implements
-// (sim.Runner, flat.Runner, event.Runner): Step executes one computation
-// step and reports done once the run has ended; Result is the run summary
-// so far.
+// (sim.Runner, and event.Runner for flat and event): Step executes one
+// computation step and reports done once the run has ended; Result is the
+// run summary so far.
 type Stepper interface {
 	Step() (done bool, err error)
 	Result() Result
 }
 
 // Drive steps s until the run ends and returns its result — the one run
-// loop behind Run and its flat and event counterparts.
+// loop behind Run and engine.Run.
 func Drive(s Stepper) (Result, error) {
 	for {
 		done, err := s.Step()

@@ -6,7 +6,7 @@ import (
 
 	"snappif/internal/check"
 	"snappif/internal/core"
-	"snappif/internal/flat"
+	"snappif/internal/engine"
 	"snappif/internal/graph"
 	"snappif/internal/hunt"
 	"snappif/internal/obs"
@@ -211,22 +211,13 @@ func TestFlightDumpFlatEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := core.New(g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kern, err := flat.FromCore(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc, err := flat.NewConfig(kern)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tel := telemetry.New(telemetry.Config{SampleEvery: 16, FlightDepth: 2, FlightEvery: 16})
-	d := sim.DistributedRandom{P: 0.5}
 	const seed, steps = 9, 150
-	if _, err := flat.Run(fc, kern, d, flat.Options{
+	res, err := engine.Run(engine.Spec{
+		Engine: engine.Flat,
+		Proto:  core.MustNew(g, 0),
+		Graph:  g,
+		Daemon: sim.DistributedRandom{P: 0.5},
 		Options: sim.Options{
 			MaxSteps: steps + 1,
 			Seed:     seed,
@@ -234,7 +225,8 @@ func TestFlightDumpFlatEngine(t *testing.T) {
 		},
 		Telemetry:     tel,
 		TelemetryMeta: telemetry.RunMeta{Seed: seed - 1},
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -248,7 +240,11 @@ func TestFlightDumpFlatEngine(t *testing.T) {
 	} else if len(rep.Violations) != 0 {
 		t.Fatalf("clean replay violated invariants: %+v", rep.Violations[0])
 	}
-	if !bytes.Equal(finalCanonical(t, g, buf.Bytes()), fc.AppendCanonical(nil)) {
+	live, err := res.Final.AppendCanonical(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(finalCanonical(t, g, buf.Bytes()), live) {
 		t.Fatal("generic replay of a flat-engine flight dump missed the live final state")
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 	"snappif/internal/check"
 	"snappif/internal/core"
-	"snappif/internal/flat"
+	"snappif/internal/engine"
 	"snappif/internal/graph"
 	"snappif/internal/sim"
 	"snappif/internal/telemetry"
@@ -74,17 +74,12 @@ func runFlatInto(tel *telemetry.Telemetry, g *graph.Graph, seed int64, k int) er
 	if err != nil {
 		return err
 	}
-	kern, err := flat.FromCore(pr)
-	if err != nil {
-		return err
-	}
-	fc, err := flat.NewConfig(kern)
-	if err != nil {
-		return err
-	}
 	cy := check.NewCycleObserver(pr)
-	d := sim.DistributedRandom{P: 0.5}
-	opts := flat.Options{
+	if _, err := engine.Run(engine.Spec{
+		Engine: engine.Flat,
+		Proto:  pr,
+		Graph:  g,
+		Daemon: sim.DistributedRandom{P: 0.5},
 		Options: sim.Options{
 			MaxSteps:  500_000,
 			Seed:      seed,
@@ -93,8 +88,7 @@ func runFlatInto(tel *telemetry.Telemetry, g *graph.Graph, seed int64, k int) er
 		},
 		Telemetry:     tel,
 		TelemetryMeta: telemetry.RunMeta{Seed: seed - 1},
-	}
-	if _, err := flat.Run(fc, kern, d, opts); err != nil {
+	}); err != nil {
 		return err
 	}
 	if cy.CompletedCycles() < k {

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"snappif/internal/core"
-	"snappif/internal/flat"
+	"snappif/internal/engine"
 	"snappif/internal/graph"
 	"snappif/internal/sim"
 	"snappif/internal/telemetry"
@@ -29,8 +29,8 @@ func fullConfig() telemetry.Config {
 }
 
 // newFlatStepper builds a flat-engine runner over a ring of size n,
-// optionally with telemetry attached. Caller must Close the runner.
-func newFlatStepper(n int, tel *telemetry.Telemetry, maxSteps int) (*flat.Runner, error) {
+// optionally with telemetry attached.
+func newFlatStepper(n int, tel *telemetry.Telemetry, maxSteps int) (engine.Runner, error) {
 	g, err := graph.Ring(n)
 	if err != nil {
 		return nil, err
@@ -39,15 +39,11 @@ func newFlatStepper(n int, tel *telemetry.Telemetry, maxSteps int) (*flat.Runner
 	if err != nil {
 		return nil, err
 	}
-	kern, err := flat.FromCore(pr)
-	if err != nil {
-		return nil, err
-	}
-	fc, err := flat.NewConfig(kern)
-	if err != nil {
-		return nil, err
-	}
-	return flat.NewRunner(fc, kern, sim.Synchronous{}, flat.Options{
+	return engine.New(engine.Spec{
+		Engine:        engine.Flat,
+		Proto:         pr,
+		Graph:         g,
+		Daemon:        sim.Synchronous{},
 		Options:       sim.Options{Seed: 1, MaxSteps: maxSteps},
 		Telemetry:     tel,
 		TelemetryMeta: telemetry.RunMeta{Seed: 0},
@@ -55,7 +51,7 @@ func newFlatStepper(n int, tel *telemetry.Telemetry, maxSteps int) (*flat.Runner
 }
 
 // warm advances a runner k steps without timing.
-func warm(r *flat.Runner, k int) error {
+func warm(r engine.Runner, k int) error {
 	for i := 0; i < k; i++ {
 		if done, err := r.Step(); done {
 			return fmt.Errorf("run ended during warm-up: %v", err)
@@ -69,7 +65,7 @@ func warm(r *flat.Runner, k int) error {
 // arm's sizable flight ring right before its window — and not the off
 // arm's small heap before its — leaving an arm-correlated thermal and
 // cache footprint. Callers quiesce the heap once, before the first window.
-func timeWindow(r *flat.Runner, steps int) (ns, aps float64, err error) {
+func timeWindow(r engine.Runner, steps int) (ns, aps float64, err error) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()

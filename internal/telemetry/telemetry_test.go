@@ -334,12 +334,16 @@ func TestWriteSpansNamesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := runGenericTelemetry(t, g, 5, 2)
-	var buf bytes.Buffer
-	if err := tel.WriteSpans(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"snappif/generic"`) {
-		t.Fatalf("spans export missing engine process name:\n%.400s", buf.String())
+	for name, tel := range map[string]*telemetry.Telemetry{
+		"generic": runGenericTelemetry(t, g, 5, 2),
+		"flat":    runFlatTelemetry(t, g, 5, 2),
+	} {
+		var buf bytes.Buffer
+		if err := tel.WriteSpans(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), `"snappif/`+name+`"`) {
+			t.Fatalf("spans export missing engine process name snappif/%s:\n%.400s", name, buf.String())
+		}
 	}
 }
