@@ -172,8 +172,7 @@ func run(args []string, out io.Writer) (err error) {
 		tcfg := telemetry.Config{
 			// Monotonic-delta clock: durations survive wall-clock steps.
 			//snapvet:ok monotonic telemetry clock; timing fields are measurement output, not engine state
-			Clock:  func() int64 { return int64(time.Since(base)) },
-			Timing: true,
+			Clock: func() int64 { return int64(time.Since(base)) },
 		}
 		if *latency != "" {
 			// Asynchronous event runs stamp spans in virtual time: the

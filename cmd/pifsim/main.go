@@ -1,10 +1,10 @@
 // Command pifsim runs a single PIF simulation and narrates it: topology,
 // daemon, optional corruption, number of waves, and per-wave measurements,
-// with an optional step-by-step action trace.
+// with an optional structured event trace for offline analysis.
 //
 // Usage:
 //
-//	pifsim -topo ring -n 16 -waves 3 -daemon sync -corrupt uniform -trace
+//	pifsim -topo ring -n 16 -waves 3 -daemon sync -corrupt uniform -events run.jsonl
 package main
 
 import (
@@ -37,12 +37,17 @@ func run(args []string, out io.Writer) (err error) {
 		states   = fs.Bool("states", false, "dump final processor states")
 		watch    = fs.Bool("watch", false, "print a phase strip at every round")
 		every    = fs.Int("every", 1, "with -watch, print every k-th round")
-		jsonOut  = fs.String("json", "", "write the full action trace as JSON to this file")
 		events   = fs.String("events", "", "write the structured JSONL event trace to this file (analyze it with piftrace)")
 		forest   = fs.Bool("forest", false, "draw the final tree forest")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *waves < 0 {
+		return fmt.Errorf("-waves %d: want ≥ 0", *waves)
+	}
+	if *every < 1 {
+		return fmt.Errorf("-every %d: want ≥ 1", *every)
 	}
 
 	topo, err := buildTopo(*topoName, *n, *seed)
@@ -53,6 +58,12 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
+	var kind snappif.Corruption
+	if *corrupt != "" {
+		if kind, err = pickCorruption(*corrupt); err != nil {
+			return err
+		}
+	}
 	netOpts := []snappif.NetworkOption{
 		snappif.WithSeed(*seed),
 		snappif.WithDaemon(daemon),
@@ -60,9 +71,6 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	if *watch {
 		netOpts = append(netOpts, snappif.WithRoundTrace(out, *every))
-	}
-	if *jsonOut != "" {
-		netOpts = append(netOpts, snappif.WithEventRecording(0))
 	}
 	var eventsF *os.File
 	if *events != "" {
@@ -87,10 +95,6 @@ func run(args []string, out io.Writer) (err error) {
 	fmt.Fprintf(out, "network %s, root %d, daemon %s\n", topo, *root, daemon.Name())
 
 	if *corrupt != "" {
-		kind, err := pickCorruption(*corrupt)
-		if err != nil {
-			return err
-		}
 		if err := net.Corrupt(kind); err != nil {
 			return err
 		}
@@ -121,20 +125,6 @@ func run(args []string, out io.Writer) (err error) {
 	if *forest {
 		fmt.Fprintln(out, "\nfinal forest:")
 		net.WriteTree(out)
-	}
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return err
-		}
-		if err := net.TraceJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("json: %w", err)
-		}
-		fmt.Fprintf(out, "action trace written to %s\n", *jsonOut)
 	}
 	if *events != "" {
 		if err := net.Close(); err != nil {

@@ -61,10 +61,12 @@ func TestRunWatch(t *testing.T) {
 	}
 }
 
+// TestRunJSONTrace checks that -events writes the JSONL event trace in the
+// obs schema: header first, step events, per-action totals.
 func TestRunJSONTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	var out strings.Builder
-	if err := run([]string{"-topo", "line", "-n", "5", "-waves", "1", "-json", path}, &out); err != nil {
+	if err := run([]string{"-topo", "line", "-n", "5", "-waves", "1", "-events", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -86,17 +88,25 @@ func min(a, b int) int {
 	return b
 }
 
+// TestRunRejectsBadFlags checks that every bad flag value is an error
+// raised before anything is printed.
 func TestRunRejectsBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-topo", "moebius"},
 		{"-daemon", "chaotic"},
 		{"-corrupt", "gremlins"},
 		{"-topo", "ring", "-n", "2"},
+		{"-waves", "-1"},
+		{"-watch", "-every", "0"},
+		{"-json", "trace.json"},
 	}
 	for _, args := range cases {
 		var out strings.Builder
 		if err := run(args, &out); err == nil {
 			t.Fatalf("args %v accepted", args)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("args %v printed before failing:\n%s", args, out.String())
 		}
 	}
 }

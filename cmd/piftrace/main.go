@@ -8,8 +8,7 @@
 //
 //	piftrace summary FILE            totals, moves per action, wave table,
 //	                                 wave-latency percentiles (p50/p95/p99
-//	                                 rounds, and wall time when the trace was
-//	                                 recorded with a clock)
+//	                                 rounds)
 //	piftrace timeline [-every k] FILE   phase Gantt (rows: processors,
 //	                                 columns: round boundaries) + wave spans
 //	piftrace spans [-o FILE] FILE    export causal wave spans as Chrome
@@ -22,7 +21,9 @@
 //	                                 and the domain invariants after every
 //	                                 step, and verify the final state
 //	                                 matches the recorded final snapshot
-//	                                 bit for bit
+//	                                 bit for bit; a trace without init,
+//	                                 final and summary events, or a runtime
+//	                                 action trace, fails
 //	piftrace diff FILE1 FILE2        first divergence between two traces
 //	                                 (exit 1 when they diverge)
 //
@@ -38,7 +39,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"time"
 
 	"snappif/internal/check"
 	"snappif/internal/core"
@@ -140,9 +140,6 @@ func summary(out io.Writer, tr *obs.Trace) error {
 	if s := tr.Summary; s != nil {
 		fmt.Fprintf(out, "totals: %d steps, %d moves, %d rounds, %d waves, %d runs\n",
 			s.Steps, s.Moves, s.Rounds, s.Waves, s.Runs)
-		if s.Dropped > 0 {
-			fmt.Fprintf(out, "dropped: %d step events (recorder limit)\n", s.Dropped)
-		}
 		if len(s.MovesPerAction) > 0 {
 			tbl := trace.NewTable("moves per action", "action", "moves")
 			for _, name := range sortedKeys(s.MovesPerAction) {
@@ -168,18 +165,12 @@ func summary(out io.Writer, tr *obs.Trace) error {
 	return nil
 }
 
-// waveLatency prints the completed-wave latency percentiles: rounds always,
-// wall time when the trace was recorded with a clock (obs.WithClock).
+// waveLatency prints the completed-wave latency percentiles in rounds.
 func waveLatency(out io.Writer, waves []waveSpan) {
 	var rounds []int
-	var walls []int64 // µs
 	for _, w := range waves {
-		if w.endStep == 0 {
-			continue
-		}
-		rounds = append(rounds, w.endRound-w.startRound+1)
-		if w.startTS > 0 && w.endTS >= w.startTS {
-			walls = append(walls, w.endTS-w.startTS)
+		if w.endStep != 0 {
+			rounds = append(rounds, w.endRound-w.startRound+1)
 		}
 	}
 	if len(rounds) == 0 {
@@ -188,29 +179,15 @@ func waveLatency(out io.Writer, waves []waveSpan) {
 	sort.Ints(rounds)
 	fmt.Fprintf(out, "wave latency (%d completed): rounds p50=%d p95=%d p99=%d\n",
 		len(rounds), pctInt(rounds, 50), pctInt(rounds, 95), pctInt(rounds, 99))
-	if len(walls) > 0 {
-		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-		us := func(q int) time.Duration { return time.Duration(pct64(walls, q)) * time.Microsecond }
-		fmt.Fprintf(out, "wave wall time (%d timed): p50=%v p95=%v p99=%v\n",
-			len(walls), us(50), us(95), us(99))
-	}
 }
 
 // pctInt is the nearest-rank q-th percentile of a sorted slice.
 func pctInt(sorted []int, q int) int {
-	return sorted[pctIdx(len(sorted), q)]
-}
-
-func pct64(sorted []int64, q int) int64 {
-	return sorted[pctIdx(len(sorted), q)]
-}
-
-func pctIdx(n, q int) int {
-	i := (n*q + 99) / 100 // ceil(n·q/100), nearest-rank
+	i := (len(sorted)*q + 99) / 100 // ceil(n·q/100), nearest-rank
 	if i < 1 {
 		i = 1
 	}
-	return i - 1
+	return sorted[i-1]
 }
 
 // waveSpan is one reconstructed PIF wave.
@@ -219,7 +196,6 @@ type waveSpan struct {
 	msg                  string
 	startStep, endStep   int
 	startRound, endRound int
-	startTS, endTS       int64 // µs wall stamps, 0 when the trace has no clock
 }
 
 // waveSpans pairs wave start/end events.
@@ -233,12 +209,11 @@ func waveSpans(tr *obs.Trace) []waveSpan {
 		switch ev.Kind {
 		case "start":
 			open[ev.Wave] = len(out)
-			out = append(out, waveSpan{id: ev.Wave, msg: ev.M, startStep: ev.I, startRound: ev.Round, startTS: ev.TS})
+			out = append(out, waveSpan{id: ev.Wave, msg: ev.M, startStep: ev.I, startRound: ev.Round})
 		case "end":
 			if i, ok := open[ev.Wave]; ok {
 				out[i].endStep = ev.I
 				out[i].endRound = ev.Round
-				out[i].endTS = ev.TS
 				delete(open, ev.Wave)
 			}
 		}
@@ -340,6 +315,9 @@ func sampleName(every int) string {
 // offlineCheck replays the recorded schedule from the recorded initial
 // snapshot and re-evaluates the Section-4 invariants after every step.
 func offlineCheck(out io.Writer, tr *obs.Trace) error {
+	if err := replayable(tr); err != nil {
+		return err
+	}
 	g, err := tr.Graph()
 	if err != nil {
 		return err
@@ -429,14 +407,12 @@ func offlineCheck(out io.Writer, tr *obs.Trace) error {
 		}
 	}
 
-	if s := tr.Summary; s != nil {
-		if steps != s.Steps || moves != s.Moves || rounds != s.Rounds {
-			return fmt.Errorf("replay totals diverge from recorded summary: %d/%d/%d steps/moves/rounds vs %d/%d/%d",
-				steps, moves, rounds, s.Steps, s.Moves, s.Rounds)
-		}
-		fmt.Fprintf(out, "totals match the recorded summary (%d steps, %d moves, %d rounds)\n",
-			steps, moves, rounds)
+	if s := tr.Summary; steps != s.Steps || moves != s.Moves || rounds != s.Rounds {
+		return fmt.Errorf("replay totals diverge from recorded summary: %d/%d/%d steps/moves/rounds vs %d/%d/%d",
+			steps, moves, rounds, s.Steps, s.Moves, s.Rounds)
 	}
+	fmt.Fprintf(out, "totals match the recorded summary (%d steps, %d moves, %d rounds)\n",
+		steps, moves, rounds)
 	if final != nil && cfg != nil {
 		ref := sim.NewConfiguration(g, proto)
 		if err := final.Restore(ref); err != nil {
@@ -454,6 +430,26 @@ func offlineCheck(out io.Writer, tr *obs.Trace) error {
 		return fmt.Errorf("%d invariant violations", violations)
 	}
 	fmt.Fprintln(out, "offline check OK")
+	return nil
+}
+
+// replayable reports why check cannot verify tr: replay needs the init
+// snapshot it starts from, the final snapshot it must reach, and the
+// summary its totals must match — and a step stream, which runtime action
+// traces do not have.
+func replayable(tr *obs.Trace) error {
+	seen := make(map[string]bool)
+	for _, ev := range tr.Events {
+		seen[ev.T] = true
+	}
+	if seen["action"] {
+		return fmt.Errorf("trace holds concurrent-runtime action events: runtime action traces cannot be replayed")
+	}
+	for _, kind := range []string{"init", "final", "summary"} {
+		if !seen[kind] {
+			return fmt.Errorf("trace has no %q event (truncated?): check needs init, final and summary events to verify a replay", kind)
+		}
+	}
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"snappif"
 	"snappif/internal/check"
 	"snappif/internal/core"
 	"snappif/internal/fault"
@@ -32,7 +33,7 @@ func recordRun(t *testing.T, path string, seed int64) sim.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.New(f, obs.WithProtocol(pr))
+	tr := obs.New(f, pr)
 	tr.BeginRun(g, "dist-random-0.50", seed, cfg)
 	cyc := check.NewCycleObserver(pr)
 	res, err := sim.Run(cfg, pr, sim.DistributedRandom{P: 0.5}, sim.Options{
@@ -176,6 +177,73 @@ func TestCheckDetectsTampering(t *testing.T) {
 	out.Reset()
 	if err := run([]string{"check", bad2}, &out); err == nil {
 		t.Fatalf("corrupted final snapshot passed the offline check:\n%s", out.String())
+	}
+}
+
+// TestCheckRejectsUnverifiableTraces pins that check fails, naming the
+// cause, on traces it cannot verify by replay: a truncated trace missing
+// its final snapshot or summary, and a concurrent-runtime action trace.
+func TestCheckRejectsUnverifiableTraces(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.jsonl")
+	recordRun(t, path, 11)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if len(lines) < 40 {
+		t.Fatalf("recorded trace has only %d lines", len(lines))
+	}
+	// head keeps the first n lines minus any trailing kinds in drop.
+	head := func(name string, n int, drop ...string) string {
+		var kept []string
+		for _, l := range lines[:n] {
+			skip := false
+			for _, kind := range drop {
+				skip = skip || strings.HasPrefix(l, `{"t":"`+kind+`"`)
+			}
+			if !skip {
+				kept = append(kept, l)
+			}
+		}
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(strings.Join(kept, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	type checkCase struct{ name, path, want string }
+	all := len(lines)
+	cases := []checkCase{
+		{"first 20 lines", head("head.jsonl", 20), `no "final" event`},
+		{"no summary", head("nosum.jsonl", all, "summary"), `no "summary" event`},
+		{"no init", head("noinit.jsonl", all, "init"), `no "init" event`},
+	}
+
+	var rt bytes.Buffer
+	g, err := snappif.Ring(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snappif.RunConcurrent(g, 0, 1, snappif.ConcurrentOptions{EventTrace: &rt}); err != nil {
+		t.Fatal(err)
+	}
+	actions := filepath.Join(dir, "actions.jsonl")
+	if err := os.WriteFile(actions, rt.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, checkCase{"runtime action trace", actions, "runtime action traces cannot be replayed"})
+
+	for _, c := range cases {
+		var out bytes.Buffer
+		err := run([]string{"check", c.path}, &out)
+		if err == nil {
+			t.Fatalf("%s: check passed:\n%s", c.name, out.String())
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: error %q does not name %q", c.name, err, c.want)
+		}
 	}
 }
 

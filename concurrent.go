@@ -77,7 +77,7 @@ func RunConcurrent(topo Topology, root, waves int, opts ConcurrentOptions) (Conc
 		if err != nil {
 			return ConcurrentResult{}, err
 		}
-		tracer = obs.New(opts.EventTrace, obs.WithProtocol(proto))
+		tracer = obs.New(opts.EventTrace, proto)
 		tracer.BeginRun(topo.g, "go-scheduler", opts.Seed, nil)
 		rtOpts.OnAction = tracer.Action
 	}

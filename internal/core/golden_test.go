@@ -8,6 +8,7 @@ package core_test
 // aggregate assertions (delivery, bounds) might absorb.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -15,7 +16,6 @@ import (
 	"snappif/internal/core"
 	"snappif/internal/graph"
 	"snappif/internal/sim"
-	"snappif/internal/trace"
 )
 
 // goldenLine4 is the full per-step action log of one synchronous clean
@@ -48,17 +48,32 @@ func TestGoldenSynchronousCycle(t *testing.T) {
 	}
 	pr := core.MustNew(g, 0)
 	cfg := sim.NewConfiguration(g, pr)
-	rec := trace.NewRecorder(pr, 0)
+	log := &stepLog{names: pr.ActionNames()}
 	obs := check.NewCycleObserver(pr)
 	if _, err := sim.Run(cfg, pr, sim.Synchronous{}, sim.Options{
-		Observers: []sim.Observer{rec, obs},
+		Observers: []sim.Observer{log, obs},
 		StopWhen:  obs.StopAfterCycles(1),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	rec.Dump(&b)
-	if got := b.String(); got != goldenLine4 {
+	if got := log.b.String(); got != goldenLine4 {
 		t.Fatalf("synchronous cycle diverged from the golden trace.\ngot:\n%swant:\n%s", got, goldenLine4)
 	}
+}
+
+// stepLog is a sim.Observer printing one line per step:
+//
+//	step    3: p1:B-action p4:B-action
+type stepLog struct {
+	names []string
+	b     strings.Builder
+}
+
+// OnStep implements sim.Observer.
+func (l *stepLog) OnStep(step int, executed []sim.Choice, _ *sim.Configuration) {
+	fmt.Fprintf(&l.b, "step %4d:", step)
+	for _, ch := range executed {
+		fmt.Fprintf(&l.b, " p%d:%s", ch.Proc, l.names[ch.Action])
+	}
+	l.b.WriteByte('\n')
 }

@@ -224,7 +224,7 @@ func TestEventTraceByteIdentical(t *testing.T) {
 				cfg1 := sim.NewConfiguration(g, pr1)
 				inj.Apply(cfg1, pr1, rand.New(rand.NewSource(seed)))
 				var buf1 bytes.Buffer
-				tr1 := obs.New(&buf1, obs.WithProtocol(pr1))
+				tr1 := obs.New(&buf1, pr1)
 				tr1.BeginRun(g, mkDaemon().Name(), seed, cfg1)
 				_, err1 := sim.Run(cfg1, pr1, mkDaemon(), sim.Options{
 					Seed: seed, StopWhen: stop, MaxSteps: steps + 1,
@@ -253,7 +253,7 @@ func TestEventTraceByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				var buf2 bytes.Buffer
-				tr2 := obs.New(&buf2, obs.WithProtocol(pr2))
+				tr2 := obs.New(&buf2, pr2)
 				r, err := event.NewRunner(fc, k, mkDaemon(), event.Options{
 					Options: sim.Options{
 						Seed: seed, StopWhen: stop, MaxSteps: steps + 1,

@@ -106,7 +106,7 @@ func FuzzThreeEngines(f *testing.F) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			tr := obs.New(&buf, obs.WithProtocol(pr))
+			tr := obs.New(&buf, pr)
 			o := opts
 			o.Observers = []sim.Observer{tr}
 			res, rerr, final := run(pr, tr, o)

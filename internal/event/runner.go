@@ -506,10 +506,6 @@ func (r *Runner) Step() (done bool, err error) {
 
 	// Execute: stage every next state from the pre-step slices, then
 	// scatter-commit. Composite atomicity, distributed daemon.
-	var commitStart int64
-	if r.tel.DetailTiming() {
-		commitStart = r.tel.Now()
-	}
 	for i, ch := range selected {
 		r.k.Apply(r.c, ch.Proc, int32(ch.Action), &r.stage[i])
 	}
@@ -535,10 +531,6 @@ func (r *Runner) Step() (done bool, err error) {
 		for i, ch := range selected {
 			r.c.SetStateHot(int32(ch.Proc), &r.stage[i])
 		}
-	}
-	var commitNS int64
-	if commitStart > 0 {
-		commitNS = r.tel.Now() - commitStart
 	}
 	var db, df, dc int
 	if r.tel != nil {
@@ -590,15 +582,7 @@ func (r *Runner) Step() (done bool, err error) {
 		o.OnStep(steps, selected, r.mirror)
 	}
 
-	var evalStart int64
-	if r.tel.DetailTiming() {
-		evalStart = r.tel.Now()
-	}
 	r.refresh(selected)
-	var evalNS int64
-	if evalStart > 0 {
-		evalNS = r.tel.Now() - evalStart
-	}
 
 	for _, o := range r.opts.Observers {
 		if eo, ok := o.(sim.EnabledObserver); ok {
@@ -607,7 +591,7 @@ func (r *Runner) Step() (done bool, err error) {
 	}
 
 	if r.tel != nil {
-		r.telStep(selected, packed, rootBefore, db, df, dc, stepStart, evalNS, commitNS)
+		r.telStep(selected, packed, rootBefore, db, df, dc, stepStart)
 	}
 
 	// Round boundary: every processor pending since the round started has
@@ -716,7 +700,7 @@ func (r *Runner) scheduleWakes(selected []sim.Choice) {
 // Step stamp is the batch's virtual time — sparse, strictly increasing; in
 // external-daemon mode it equals the committed step count, as on the sim
 // engine.
-func (r *Runner) telStep(selected []sim.Choice, packed bool, rootBefore core.Phase, db, df, dc int, startNS, evalNS, commitNS int64) {
+func (r *Runner) telStep(selected []sim.Choice, packed bool, rootBefore core.Phase, db, df, dc int, startNS int64) {
 	root := r.k.Root
 	var stepNS int64
 	if startNS > 0 {
@@ -742,8 +726,6 @@ func (r *Runner) telStep(selected []sim.Choice, packed bool, rootBefore core.Pha
 		GuardHits:   r.guardHits,
 		GuardMisses: r.guardMisses,
 		QueueDepth:  r.QueueDepth(),
-		EvalNS:      evalNS,
-		CommitNS:    commitNS,
 		StepNS:      stepNS,
 	}, r.telSrc)
 }

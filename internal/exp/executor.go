@@ -33,7 +33,8 @@ func runGrid[T any](opt Options, label func(i int) string, n int, fn func(i int)
 			if errs[i] != nil {
 				m.Counter("exp.cell_errors").Add(1)
 			}
-			m.Histogram("exp.cell_seconds", 1, 10, 60).Observe(int64(elapsed.Seconds()))
+			m.Histogram("exp.cell_us", 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 60_000_000).
+				Observe(elapsed.Microseconds())
 		}
 	}
 	if !opt.Parallel || n <= 1 {

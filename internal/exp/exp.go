@@ -41,8 +41,9 @@ type Options struct {
 	// Timings, if non-nil, collects per-cell wall-clock durations.
 	Timings *trace.Timings
 	// Metrics, if non-nil, receives executor counters: exp.cells (completed
-	// table cells), exp.cell_errors, and the exp.cell_seconds histogram —
-	// the live progress feed behind pifexp's -http endpoint.
+	// table cells), exp.cell_errors, and the exp.cell_us histogram of cell
+	// wall times in microseconds (bounds 1 ms … 60 s) — the live progress
+	// feed behind pifexp's -http endpoint.
 	Metrics *obs.Registry
 	// Engine names the engine (internal/engine) for the snap-PIF runs that
 	// support it: "sim" (the default), "flat", or "event". The engines are

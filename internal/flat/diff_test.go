@@ -187,7 +187,7 @@ func TestFlatTraceByteIdentical(t *testing.T) {
 				cfg1 := sim.NewConfiguration(g, pr1)
 				inj.Apply(cfg1, pr1, rand.New(rand.NewSource(seed)))
 				var buf1 bytes.Buffer
-				tr1 := obs.New(&buf1, obs.WithProtocol(pr1))
+				tr1 := obs.New(&buf1, pr1)
 				tr1.BeginRun(g, mkDaemon().Name(), seed, cfg1)
 				res1, err1 := sim.Run(cfg1, pr1, mkDaemon(), sim.Options{
 					Seed: seed, StopWhen: stop, MaxSteps: steps + 1,
@@ -209,7 +209,7 @@ func TestFlatTraceByteIdentical(t *testing.T) {
 				cfg2 := sim.NewConfiguration(g, pr2)
 				inj.Apply(cfg2, pr2, rand.New(rand.NewSource(seed)))
 				var buf2 bytes.Buffer
-				tr2 := obs.New(&buf2, obs.WithProtocol(pr2))
+				tr2 := obs.New(&buf2, pr2)
 				tr2.BeginRun(g, mkDaemon().Name(), seed, cfg2)
 				res2, err2 := engine.Run(engine.Spec{
 					Engine: engine.Flat, Proto: pr2, Config: cfg2, Daemon: mkDaemon(),

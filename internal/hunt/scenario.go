@@ -23,7 +23,6 @@ import (
 	"snappif/internal/graph"
 	"snappif/internal/obs"
 	"snappif/internal/sim"
-	"snappif/internal/trace"
 )
 
 // SchemaVersion identifies the scenario JSON schema.
@@ -324,8 +323,8 @@ func (sc *Scenario) Run(checks []check.Check, tr *obs.Tracer) (*Report, error) {
 		checks = check.StandardChecks()
 	}
 	mon := check.NewMonitor(pr, checks)
-	rec := trace.NewRecorder(proto, 0)
-	observers := []sim.Observer{rec, mon}
+	var sched executedLog
+	observers := []sim.Observer{&sched, mon}
 
 	var d sim.Daemon
 	var stop func(*sim.RunState) bool
@@ -357,7 +356,7 @@ func (sc *Scenario) Run(checks []check.Check, tr *obs.Tracer) (*Report, error) {
 		Observers:   observers,
 		StopWhen:    stop,
 	})
-	rep := &Report{Result: res, Violations: mon.Records, Executed: executed(rec)}
+	rep := &Report{Result: res, Violations: mon.Records, Executed: sched}
 	if err != nil {
 		if errors.Is(err, sim.ErrStepLimit) && len(mon.Records) == 0 {
 			rep.Exhausted = true
@@ -377,7 +376,7 @@ func (sc *Scenario) Trace(w io.Writer, checks []check.Check) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr := obs.New(w, obs.WithProtocol(pr))
+	tr := obs.New(w, pr)
 	rep, rerr := sc.Run(checks, tr)
 	if cerr := tr.Close(); cerr != nil && rerr == nil {
 		return rep, cerr
@@ -415,13 +414,13 @@ func ToSchedule(script [][]sim.Choice) [][][2]int {
 	return out
 }
 
-// executed extracts the recorder's step log as a schedule.
-func executed(rec *trace.Recorder) [][]sim.Choice {
-	out := make([][]sim.Choice, len(rec.Events))
-	for i, ev := range rec.Events {
-		out[i] = ev.Executed
-	}
-	return out
+// executedLog is a sim.Observer keeping a copy of every committed step's
+// executed choices: the run's schedule.
+type executedLog [][]sim.Choice
+
+// OnStep implements sim.Observer.
+func (l *executedLog) OnStep(_ int, executed []sim.Choice, _ *sim.Configuration) {
+	*l = append(*l, append([]sim.Choice(nil), executed...))
 }
 
 // scheduleDaemon re-executes a recorded schedule tolerantly: each step it

@@ -51,7 +51,6 @@ type Event struct {
 	Kind  string   `json:"kind,omitempty"`
 	Wave  int      `json:"wave,omitempty"`
 	M     string   `json:"m,omitempty"`
-	TS    int64    `json:"ts,omitempty"` // wall-clock µs at wave boundaries (clock-attached traces only)
 
 	// abn
 	Abn int `json:"abn,omitempty"`
@@ -67,7 +66,6 @@ type Event struct {
 	Waves          int            `json:"waves,omitempty"`
 	Runs           int            `json:"runs,omitempty"`
 	ActionEvents   int64          `json:"action_events,omitempty"`
-	Dropped        int            `json:"dropped,omitempty"`
 	MovesPerAction map[string]int `json:"moves_per_action,omitempty"`
 }
 
@@ -93,8 +91,8 @@ func (e *Event) Restore(c *sim.Configuration) error {
 
 // Trace is a fully decoded event trace.
 type Trace struct {
-	// Meta is the header, or nil when the trace lacks one (e.g. a bare
-	// Recorder export).
+	// Meta is the header, or nil when the trace lacks one (e.g. a
+	// truncated stream that lost its first line).
 	Meta *Event
 	// Events holds every event in file order, the header included.
 	Events []*Event
@@ -103,7 +101,8 @@ type Trace struct {
 }
 
 // ReadTrace decodes a JSONL event trace. Unknown event kinds are kept (the
-// schema is forward-extensible); malformed lines are an error.
+// schema is forward-extensible); malformed lines and a header of another
+// schema version are an error.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	sc := bufio.NewScanner(r)
@@ -125,6 +124,10 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		t.Events = append(t.Events, ev)
 		switch ev.T {
 		case "meta":
+			if ev.V != SchemaVersion {
+				return nil, fmt.Errorf("obs: trace line %d: schema version %d, this decoder reads version %d",
+					lineNo, ev.V, SchemaVersion)
+			}
 			if t.Meta == nil {
 				t.Meta = ev
 			}
@@ -187,21 +190,13 @@ func Diff(a, b *Trace) string {
 }
 
 // filterDeterministic drops the event kinds whose presence or order is
-// timing-dependent (concurrent-runtime action events) and blanks the
-// per-event fields that are wall-clock-dependent (wave "ts" stamps), so two
-// runs of the same seed diff clean regardless of attached clocks.
+// timing-dependent (concurrent-runtime action events).
 func filterDeterministic(evs []*Event) []*Event {
 	out := make([]*Event, 0, len(evs))
 	for _, e := range evs {
-		if e.T == "action" {
-			continue
+		if e.T != "action" {
+			out = append(out, e)
 		}
-		if e.TS != 0 {
-			cp := *e
-			cp.TS = 0
-			e = &cp
-		}
-		out = append(out, e)
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 
 	"snappif/internal/core"
@@ -53,7 +52,6 @@ type Summary struct {
 	Waves          int            `json:"waves,omitempty"`
 	Runs           int            `json:"runs,omitempty"`
 	ActionEvents   int64          `json:"action_events,omitempty"`
-	Dropped        int            `json:"dropped,omitempty"`
 	MovesPerAction map[string]int `json:"moves_per_action,omitempty"`
 }
 
@@ -70,13 +68,11 @@ func newMeta(g *graph.Graph, pr *core.Protocol, daemon string, seed int64) Meta 
 		m.N = g.N()
 		m.Edges = g.Edges()
 	}
-	if pr != nil {
-		m.Protocol = pr.Name()
-		m.Actions = pr.ActionNames()
-		m.Root = pr.Root
-		m.Lmax = pr.Lmax
-		m.NPrime = pr.NPrime
-	}
+	m.Protocol = pr.Name()
+	m.Actions = pr.ActionNames()
+	m.Root = pr.Root
+	m.Lmax = pr.Lmax
+	m.NPrime = pr.NPrime
 	return m
 }
 
@@ -237,10 +233,8 @@ func appendPhase(buf []byte, step, proc int, from, to core.Phase) []byte {
 	return append(buf, '"', '}', '\n')
 }
 
-// appendWave appends {"t":"wave","kind":"start","wave":1,"i":3,"round":2,"m":"7"}
-// plus an optional `"ts"` wall-clock microsecond stamp (emitted when ts > 0,
-// i.e. when the tracer was given a clock).
-func appendWave(buf []byte, kind string, wave, step, round int, msg uint64, ts int64) []byte {
+// appendWave appends {"t":"wave","kind":"start","wave":1,"i":3,"round":2,"m":"7"}.
+func appendWave(buf []byte, kind string, wave, step, round int, msg uint64) []byte {
 	buf = append(buf, `{"t":"wave","kind":"`...)
 	buf = append(buf, kind...)
 	buf = append(buf, `","wave":`...)
@@ -251,12 +245,7 @@ func appendWave(buf []byte, kind string, wave, step, round int, msg uint64, ts i
 	buf = strconv.AppendInt(buf, int64(round), 10)
 	buf = append(buf, `,"m":"`...)
 	buf = strconv.AppendUint(buf, msg, 10)
-	buf = append(buf, '"')
-	if ts > 0 {
-		buf = append(buf, `,"ts":`...)
-		buf = strconv.AppendInt(buf, ts, 10)
-	}
-	return append(buf, '}', '\n')
+	return append(buf, '"', '}', '\n')
 }
 
 // appendAbnormal appends {"t":"abn","round":4,"abn":2}.
@@ -289,45 +278,3 @@ func appendRun(buf []byte, run int, seed int64) []byte {
 	}
 	return append(buf, '}', '\n')
 }
-
-// Encoder writes trace events synchronously as JSONL — the export path for
-// pre-recorded event logs (trace.Recorder) and other cold producers. The
-// async Tracer shares the same wire format but buffers through its ring.
-type Encoder struct {
-	w   io.Writer
-	err error
-}
-
-// NewEncoder returns an Encoder writing JSONL to w.
-func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
-
-// write appends one line, capturing the first error.
-func (e *Encoder) write(line []byte) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = e.w.Write(line)
-}
-
-// Meta writes the trace header.
-func (e *Encoder) Meta(m Meta) {
-	m.T = "meta"
-	if m.V == 0 {
-		m.V = SchemaVersion
-	}
-	e.write(marshalLine(m))
-}
-
-// Step writes one step event.
-func (e *Encoder) Step(step int, executed []sim.Choice) {
-	e.write(appendStep(nil, step, executed))
-}
-
-// Summary writes the trailing totals event.
-func (e *Encoder) Summary(s Summary) {
-	s.T = "summary"
-	e.write(marshalLine(s))
-}
-
-// Err returns the first write error.
-func (e *Encoder) Err() error { return e.err }

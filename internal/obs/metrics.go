@@ -10,10 +10,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"snappif/internal/check"
-	"snappif/internal/core"
-	"snappif/internal/sim"
 )
 
 // Counter is a monotonically increasing metric.
@@ -27,18 +23,6 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // String implements expvar.Var.
 func (c *Counter) String() string { return strconv.FormatInt(c.v.Load(), 10) }
-
-// Gauge is a metric that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// String implements expvar.Var.
-func (g *Gauge) String() string { return strconv.FormatInt(g.v.Load(), 10) }
 
 // Text is a string-valued metric: run metadata (engine name, topology,
 // build info) stamped onto an expvar page so scripted scrapes can tell
@@ -189,16 +173,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	v := r.lookup(name, func() expvar.Var { return new(Gauge) })
-	g, ok := v.(*Gauge)
-	if !ok {
-		panic(fmt.Sprintf("obs: metric %q already registered as %T", name, v))
-	}
-	return g
-}
-
 // Histogram returns the named histogram, creating it with the given bounds
 // on first use (later calls ignore bounds).
 func (r *Registry) Histogram(name string, bounds ...int64) *Histogram {
@@ -278,105 +252,4 @@ func (r *Registry) Publish(name string) {
 			return out
 		}))
 	}
-}
-
-// SimMetrics is a sim.Observer that feeds a Registry from a simulation run:
-//
-//	sim.steps                counter  committed computation steps
-//	sim.moves                counter  action executions
-//	sim.moves.<action>       counter  executions per action label
-//	sim.step_selected        histogram selected-set size per step
-//	sim.step_enabled         histogram enabled-set size per step
-//	sim.rounds               counter  completed rounds
-//	sim.abnormal_procs       gauge    abnormal processors (sampled per round)
-//	sim.rounds_per_cycle     histogram full root-to-root cycle lengths
-//
-// The protocol-aware metrics (abnormal count, cycle lengths) need the
-// optional protocol; without it they stay silent.
-type SimMetrics struct {
-	proto *core.Protocol
-
-	steps    *Counter
-	moves    *Counter
-	perAct   []*Counter
-	names    []string
-	selected *Histogram
-	enabled  *Histogram
-	rounds   *Counter
-	abnormal *Gauge
-	cycleLen *Histogram
-
-	cycleStartRound int
-	inCycle         bool
-	prevRootPhase   core.Phase
-	lastRound       int
-}
-
-var (
-	_ sim.Observer        = (*SimMetrics)(nil)
-	_ sim.RoundObserver   = (*SimMetrics)(nil)
-	_ sim.EnabledObserver = (*SimMetrics)(nil)
-)
-
-// NewSimMetrics builds a SimMetrics feeding reg. pr may be nil.
-func NewSimMetrics(reg *Registry, pr *core.Protocol) *SimMetrics {
-	m := &SimMetrics{
-		proto:    pr,
-		steps:    reg.Counter("sim.steps"),
-		moves:    reg.Counter("sim.moves"),
-		selected: reg.Histogram("sim.step_selected", 1, 2, 4, 8, 16, 32, 64, 128),
-		enabled:  reg.Histogram("sim.step_enabled", 1, 2, 4, 8, 16, 32, 64, 128),
-		rounds:   reg.Counter("sim.rounds"),
-	}
-	if pr != nil {
-		m.names = pr.ActionNames()
-		m.perAct = make([]*Counter, len(m.names))
-		for i, name := range m.names {
-			m.perAct[i] = reg.Counter("sim.moves." + name)
-		}
-		m.abnormal = reg.Gauge("sim.abnormal_procs")
-		m.cycleLen = reg.Histogram("sim.rounds_per_cycle", 5, 10, 25, 50, 100, 250)
-		m.prevRootPhase = core.C
-	}
-	return m
-}
-
-// OnStep implements sim.Observer.
-func (m *SimMetrics) OnStep(step int, executed []sim.Choice, c *sim.Configuration) {
-	m.steps.Add(1)
-	m.moves.Add(int64(len(executed)))
-	m.selected.Observe(int64(len(executed)))
-	if m.proto == nil {
-		return
-	}
-	for _, ch := range executed {
-		m.perAct[ch.Action].Add(1)
-	}
-	root := m.proto.Root
-	phase := core.At(c, root).Pif
-	if phase != m.prevRootPhase {
-		switch {
-		case phase == core.B && m.prevRootPhase == core.C:
-			m.inCycle = true
-			m.cycleStartRound = m.lastRound + 1
-		case phase == core.C && m.inCycle:
-			m.inCycle = false
-			m.cycleLen.Observe(int64(m.lastRound + 1 - m.cycleStartRound + 1))
-		}
-		m.prevRootPhase = phase
-	}
-}
-
-// OnRound implements sim.RoundObserver.
-func (m *SimMetrics) OnRound(round int, c *sim.Configuration) {
-	m.rounds.Add(1)
-	m.lastRound = round
-	if m.abnormal != nil {
-		m.abnormal.Set(int64(len(check.Abnormal(c, m.proto))))
-	}
-}
-
-// OnEnabled implements sim.EnabledObserver.
-func (m *SimMetrics) OnEnabled(step, enabled int) {
-	m.enabled.Observe(int64(enabled))
 }

@@ -1,7 +1,8 @@
 // Package obs is the observability layer of the repository: a structured
-// JSONL event tracer for simulation and concurrent-runtime runs, a small
-// metrics registry (counters, gauges, histograms) exported via expvar, and
-// the decoder the piftrace analysis CLI is built on.
+// JSONL event tracer for simulation and concurrent-runtime runs — the one
+// step trace, from which offline replay rebuilds a run — a small metrics
+// registry (counters, histograms, text) exported via expvar, and the
+// decoder the piftrace analysis CLI is built on.
 //
 // # Event traces
 //
@@ -47,27 +48,3 @@ package obs
 // SchemaVersion identifies the trace wire format; bump on incompatible
 // changes to the event schema.
 const SchemaVersion = 1
-
-// Mask selects which event kinds an enabled Tracer emits.
-type Mask uint
-
-// Event kind bits. Meta, run headers, and the summary are always written.
-const (
-	// Steps emits one event per committed computation step.
-	Steps Mask = 1 << iota
-	// Rounds emits round-boundary events.
-	Rounds
-	// Phases emits per-processor B/F/C phase transitions.
-	Phases
-	// Waves emits wave start/end events observed at the root.
-	Waves
-	// Abnormal samples the abnormal-processor count at round boundaries.
-	Abnormal
-	// Snapshots emits init/fault/final full-state snapshots.
-	Snapshots
-	// Actions emits concurrent-runtime action events.
-	Actions
-
-	// All enables every event kind (the default).
-	All = Steps | Rounds | Phases | Waves | Abnormal | Snapshots | Actions
-)

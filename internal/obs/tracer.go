@@ -28,9 +28,7 @@ import (
 type Tracer struct {
 	mu    sync.Mutex
 	w     *asyncWriter
-	mask  Mask
 	proto *core.Protocol
-	clock func() int64 // optional µs wall clock for wave timestamps
 
 	cfg  *sim.Configuration // live configuration, for the final snapshot
 	prev []core.Phase       // last seen phase per processor
@@ -46,8 +44,7 @@ type Tracer struct {
 	seq       int64
 	perAct    map[string]int
 
-	ringSize int // writer ring capacity, consumed by New
-	closed   bool
+	closed bool
 }
 
 var (
@@ -55,49 +52,22 @@ var (
 	_ sim.RoundObserver = (*Tracer)(nil)
 )
 
-// Option customizes a Tracer.
-type Option func(*Tracer)
+// ringSize is the async writer's ring capacity in lines.
+const ringSize = 1024
 
-// WithProtocol attaches the PIF protocol instance, enabling the
-// protocol-aware events: phase transitions, wave boundaries,
-// abnormal-processor counts, and state snapshots. Without it the tracer
-// emits only the generic step/round skeleton.
-func WithProtocol(pr *core.Protocol) Option {
-	return func(t *Tracer) { t.proto = pr }
+// New returns an enabled Tracer streaming the JSONL events of runs of the
+// PIF protocol instance pr to w.
+func New(w io.Writer, pr *core.Protocol) *Tracer {
+	return newTracer(w, pr, ringSize)
 }
 
-// WithMask restricts the emitted event kinds.
-func WithMask(m Mask) Option {
-	return func(t *Tracer) { t.mask = m }
-}
-
-// WithRingSize sets the async writer's ring capacity in lines (default
-// 1024).
-func WithRingSize(n int) Option {
-	return func(t *Tracer) { t.ringSize = n }
-}
-
-// WithClock attaches a wall-clock source (microseconds, must be positive)
-// read at wave boundaries: wave events gain a "ts" field, which piftrace
-// summary and the telemetry span exporter turn into wall-time latencies.
-// The tracer itself stays deterministic — obs is clock-free by policy
-// (snapvet detrange), so the clock is injected by callers outside that
-// boundary.
-func WithClock(now func() int64) Option {
-	return func(t *Tracer) { t.clock = now }
-}
-
-// New returns an enabled Tracer streaming JSONL to w.
-func New(w io.Writer, opts ...Option) *Tracer {
-	t := &Tracer{mask: All}
-	for _, o := range opts {
-		o(t)
+// newTracer is New with an explicit writer ring capacity.
+func newTracer(w io.Writer, pr *core.Protocol, ring int) *Tracer {
+	return &Tracer{
+		w:      newAsyncWriter(w, ring),
+		proto:  pr,
+		perAct: make(map[string]int),
 	}
-	ring := t.ringSize
-	t.ringSize = 0
-	t.w = newAsyncWriter(w, ring)
-	t.perAct = make(map[string]int)
-	return t
 }
 
 // Disabled returns the no-op tracer: nil. All methods on a nil Tracer
@@ -128,12 +98,8 @@ func (t *Tracer) BeginRun(g *graph.Graph, daemon string, seed int64, c *sim.Conf
 	t.waveOpen = false
 	if c != nil {
 		t.cfg = c
-		if t.proto != nil {
-			t.snapshotPhases(c)
-			if t.mask&Snapshots != 0 {
-				t.w.put(append(t.w.get(), marshalLine(newSnapshot("init", t.run, "", c))...))
-			}
-		}
+		t.snapshotPhases(c)
+		t.w.put(append(t.w.get(), marshalLine(newSnapshot("init", t.run, "", c))...))
 	}
 }
 
@@ -148,24 +114,12 @@ func (t *Tracer) Fault(name string, c *sim.Configuration) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.proto == nil || c == nil || t.run == 0 {
+	if c == nil || t.run == 0 {
 		return
 	}
 	t.snapshotPhases(c)
 	t.waveOpen = false
-	if t.mask&Snapshots != 0 {
-		t.w.put(append(t.w.get(), marshalLine(newSnapshot("fault", t.run, name, c))...))
-	}
-}
-
-// now reads the injected clock, or 0 when none is attached. Callers hold
-// t.mu; wave boundaries are the only call sites, so clock reads never land
-// on the per-step path.
-func (t *Tracer) now() int64 {
-	if t.clock == nil {
-		return 0
-	}
-	return t.clock()
+	t.w.put(append(t.w.get(), marshalLine(newSnapshot("fault", t.run, name, c))...))
 }
 
 // snapshotPhases refreshes the phase-transition baseline from c. Callers
@@ -191,17 +145,10 @@ func (t *Tracer) OnStep(step int, executed []sim.Choice, c *sim.Configuration) {
 	t.lastStep = step
 	t.steps++
 	t.moves += len(executed)
-	if t.proto != nil {
-		for _, ch := range executed {
-			t.perAct[t.proto.ActionNames()[ch.Action]]++
-		}
+	for _, ch := range executed {
+		t.perAct[t.proto.ActionNames()[ch.Action]]++
 	}
-	if t.mask&Steps != 0 {
-		t.w.put(appendStep(t.w.get(), step, executed))
-	}
-	if t.proto == nil {
-		return
-	}
+	t.w.put(appendStep(t.w.get(), step, executed))
 	t.cfg = c
 	if len(t.prev) != c.N() {
 		// BeginRun was not called: adopt the post-step phases as the
@@ -217,20 +164,18 @@ func (t *Tracer) OnStep(step int, executed []sim.Choice, c *sim.Configuration) {
 			continue
 		}
 		t.prev[ch.Proc] = to
-		if t.mask&Phases != 0 {
-			t.w.put(appendPhase(t.w.get(), step, ch.Proc, from, to))
-		}
-		if ch.Proc != root || t.mask&Waves == 0 {
+		t.w.put(appendPhase(t.w.get(), step, ch.Proc, from, to))
+		if ch.Proc != root {
 			continue
 		}
 		switch {
 		case to == core.B && from == core.C:
 			t.waves++
 			t.waveOpen = true
-			t.w.put(appendWave(t.w.get(), "start", t.waves, step, t.lastRound+1, core.At(c, root).Msg, t.now()))
+			t.w.put(appendWave(t.w.get(), "start", t.waves, step, t.lastRound+1, core.At(c, root).Msg))
 		case to == core.C && t.waveOpen:
 			t.waveOpen = false
-			t.w.put(appendWave(t.w.get(), "end", t.waves, step, t.lastRound+1, core.At(c, root).Msg, t.now()))
+			t.w.put(appendWave(t.w.get(), "end", t.waves, step, t.lastRound+1, core.At(c, root).Msg))
 		}
 	}
 }
@@ -245,12 +190,8 @@ func (t *Tracer) OnRound(round int, c *sim.Configuration) {
 	defer t.mu.Unlock()
 	t.rounds++
 	t.lastRound = round
-	if t.mask&Rounds != 0 {
-		t.w.put(appendRound(t.w.get(), round, t.lastStep))
-	}
-	if t.proto != nil && t.mask&Abnormal != 0 {
-		t.w.put(appendAbnormal(t.w.get(), round, len(check.Abnormal(c, t.proto))))
-	}
+	t.w.put(appendRound(t.w.get(), round, t.lastStep))
+	t.w.put(appendAbnormal(t.w.get(), round, len(check.Abnormal(c, t.proto))))
 }
 
 // Action records one action execution in the concurrent runtime, globally
@@ -263,12 +204,8 @@ func (t *Tracer) Action(proc, action int) {
 	defer t.mu.Unlock()
 	t.seq++
 	t.moves++
-	if t.proto != nil {
-		t.perAct[t.proto.ActionNames()[action]]++
-	}
-	if t.mask&Actions != 0 {
-		t.w.put(appendAction(t.w.get(), t.seq, proc, action))
-	}
+	t.perAct[t.proto.ActionNames()[action]]++
+	t.w.put(appendAction(t.w.get(), t.seq, proc, action))
 }
 
 // Close writes the final state snapshot and the summary, flushes the ring,
@@ -284,7 +221,7 @@ func (t *Tracer) Close() error {
 		return nil
 	}
 	t.closed = true
-	if t.proto != nil && t.cfg != nil && t.mask&Snapshots != 0 {
+	if t.cfg != nil {
 		t.w.put(append(t.w.get(), marshalLine(newSnapshot("final", t.run, "", t.cfg))...))
 	}
 	sum := Summary{

@@ -26,7 +26,7 @@ func tracedRun(t *testing.T, w *bytes.Buffer, seed int64) (sim.Result, *sim.Conf
 	cfg := sim.NewConfiguration(g, pr)
 	fault.UniformRandom().Apply(cfg, pr, rand.New(rand.NewSource(5)))
 
-	tr := obs.New(w, obs.WithProtocol(pr))
+	tr := obs.New(w, pr)
 	tr.BeginRun(g, "dist-random-0.50", seed, cfg)
 	cyc := check.NewCycleObserver(pr)
 	res, err := sim.Run(cfg, pr, sim.DistributedRandom{P: 0.5}, sim.Options{
@@ -186,81 +186,6 @@ func TestDisabledTracerZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestTracerSmallRingComplete proves the backpressure design: a ring of 2
-// lines must still deliver every event.
-func TestTracerSmallRingComplete(t *testing.T) {
-	g, err := graph.Ring(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := core.MustNew(g, 0)
-	cfg := sim.NewConfiguration(g, pr)
-	var buf bytes.Buffer
-	tr := obs.New(&buf, obs.WithProtocol(pr), obs.WithRingSize(2))
-	tr.BeginRun(g, "synchronous", 1, cfg)
-	res, err := sim.Run(cfg, pr, sim.Synchronous{}, sim.Options{
-		Seed:      1,
-		Observers: []sim.Observer{tr},
-		StopWhen:  func(rs *sim.RunState) bool { return rs.Steps >= 500 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := obs.ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := 0
-	for _, ev := range dec.Events {
-		if ev.T == "step" {
-			steps++
-		}
-	}
-	if steps != res.Steps {
-		t.Fatalf("ring dropped events: %d step events, run had %d steps", steps, res.Steps)
-	}
-}
-
-// TestTracerMaskFiltersKinds checks that masked-out kinds are not emitted
-// while the summary stays complete.
-func TestTracerMaskFiltersKinds(t *testing.T) {
-	g, err := graph.Ring(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := core.MustNew(g, 0)
-	cfg := sim.NewConfiguration(g, pr)
-	var buf bytes.Buffer
-	tr := obs.New(&buf, obs.WithProtocol(pr), obs.WithMask(obs.Steps))
-	tr.BeginRun(g, "synchronous", 1, cfg)
-	if _, err := sim.Run(cfg, pr, sim.Synchronous{}, sim.Options{
-		Seed:      1,
-		Observers: []sim.Observer{tr},
-		StopWhen:  func(rs *sim.RunState) bool { return rs.Steps >= 100 },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := obs.ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range dec.Events {
-		switch ev.T {
-		case "phase", "round", "wave", "abn", "init", "final":
-			t.Fatalf("masked-out event kind %q emitted", ev.T)
-		}
-	}
-	if dec.Summary == nil || dec.Summary.Rounds == 0 {
-		t.Fatal("summary missing or without round totals")
-	}
-}
-
 // TestTracerByteIdentical tightens the determinism oracle from equivalent
 // to byte-identical: two runs with the same seed must serialize to the
 // same JSONL bytes — any map-ordered iteration sneaking into the export
@@ -271,5 +196,25 @@ func TestTracerByteIdentical(t *testing.T) {
 	tracedRun(t, &b, 11)
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("identical runs serialized differently:\n--- a ---\n%s\n--- b ---\n%s", a.String(), b.String())
+	}
+}
+
+// TestReadTraceRejectsOtherSchemaVersion pins the decoder's version gate:
+// a header of another schema version is an error naming both versions, not
+// a trace decoded under the wrong field meanings.
+func TestReadTraceRejectsOtherSchemaVersion(t *testing.T) {
+	var buf bytes.Buffer
+	tracedRun(t, &buf, 11)
+	lines := strings.SplitN(buf.String(), "\n", 2)
+	meta := strings.Replace(lines[0], `"v":1,`, `"v":7,`, 1)
+	if meta == lines[0] {
+		t.Fatalf("header carries no v:1 field: %s", lines[0])
+	}
+	_, err := obs.ReadTrace(strings.NewReader(meta + "\n" + lines[1]))
+	if err == nil {
+		t.Fatal("trace of schema version 7 decoded without error")
+	}
+	if !strings.Contains(err.Error(), "version 7") || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("error does not name both versions: %v", err)
 	}
 }

@@ -23,9 +23,6 @@ type asyncWriter struct {
 // newAsyncWriter starts the drain goroutine with a ring of the given number
 // of line buffers.
 func newAsyncWriter(w io.Writer, ring int) *asyncWriter {
-	if ring <= 0 {
-		ring = 1024
-	}
 	aw := &asyncWriter{
 		lines: make(chan []byte, ring),
 		free:  make(chan []byte, ring),

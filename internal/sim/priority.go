@@ -45,11 +45,11 @@ func (d ActionPriority) rank(action int) int {
 }
 
 // Replay is a daemon that re-executes a recorded schedule: step i selects
-// exactly the choices executed at step i of the original run (e.g. from a
-// trace.Recorder). Replaying a run of a deterministic protocol from the
-// same initial configuration reproduces it bit for bit — the debugging
-// workflow for daemon-dependent behavior. Once the script is exhausted the
-// daemon falls back to the first enabled choice.
+// exactly the choices executed at step i of the original run (e.g. the
+// step events of an obs trace). Replaying a run of a deterministic
+// protocol from the same initial configuration reproduces it bit for bit
+// — the debugging workflow for daemon-dependent behavior. Once the script
+// is exhausted the daemon falls back to the first enabled choice.
 type Replay struct {
 	// Script holds the per-step executed choices of the recorded run.
 	Script [][]Choice

@@ -138,7 +138,6 @@ func (o *Observer) OnStep(step int, executed []sim.Choice, c *sim.Configuration)
 	o.pend.RootMsg = core.At(c, root).Msg
 	o.pend.NextMsg = o.Proto.NextMsg()
 	o.pend.GuardHits, o.pend.GuardMisses = 0, 0
-	o.pend.EvalNS, o.pend.CommitNS = 0, 0
 	o.pend.StepNS = 0
 	if now := o.T.Now(); now > 0 {
 		if o.lastNS > 0 {

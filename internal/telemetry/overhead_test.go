@@ -23,7 +23,6 @@ func fullConfig() telemetry.Config {
 	base := time.Now()
 	return telemetry.Config{
 		Clock:       func() int64 { return int64(time.Since(base)) },
-		Timing:      true,
 		FlightDepth: 8,
 	}
 }

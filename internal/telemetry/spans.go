@@ -138,8 +138,8 @@ func WriteTraceEvents(w io.Writer, name string, spans []Span) error {
 // SpansFromTrace reconstructs wave spans from a decoded obs JSONL trace:
 // wave start/end events bound each span, the root's B→F phase event inside
 // it marks feedback completion, and abn round samples inside it flag
-// abnormal leftovers. Traces recorded with a clock (obs.WithClock) carry
-// per-wave wall time; others yield logical spans only.
+// abnormal leftovers. Traces carry no wall time, so the spans are logical
+// (steps and rounds) only.
 func SpansFromTrace(tr *obs.Trace) ([]Span, error) {
 	if tr.Meta == nil {
 		return nil, fmt.Errorf("telemetry: trace has no meta header (wave spans need the root)")
@@ -160,7 +160,6 @@ func SpansFromTrace(tr *obs.Trace) ([]Span, error) {
 					Wave:       ev.Wave,
 					StartStep:  ev.I,
 					StartRound: ev.Round,
-					StartNS:    ev.TS * 1000,
 				}
 				cur.Msg, _ = strconv.ParseUint(ev.M, 10, 64)
 			case "end":
@@ -169,7 +168,6 @@ func SpansFromTrace(tr *obs.Trace) ([]Span, error) {
 				}
 				cur.EndStep = ev.I
 				cur.EndRound = ev.Round
-				cur.EndNS = ev.TS * 1000
 				spans = append(spans, *cur)
 				cur = nil
 			}

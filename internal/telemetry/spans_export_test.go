@@ -103,7 +103,7 @@ func TestSpansFromTraceMatchesLive(t *testing.T) {
 	tel := telemetry.New(testConfig())
 	to := &telemetry.Observer{T: tel, Proto: pr}
 	var traceBuf bytes.Buffer
-	tracer := obs.New(&traceBuf, obs.WithProtocol(pr))
+	tracer := obs.New(&traceBuf, pr)
 	cfg := sim.NewConfiguration(g, pr)
 	const seed = 6
 	tracer.BeginRun(g, d.Name(), seed, cfg)

@@ -10,8 +10,8 @@
 // Four surfaces, one hook:
 //
 //   - Aggregates: lock-free counters and LogHist latency histograms (wave
-//     rounds/steps/wall-time, step duration, guard-refresh and commit
-//     time), published through an obs.Registry into expvar.
+//     rounds/steps/wall-time, step duration), published through an
+//     obs.Registry into expvar.
 //   - Time series: a bounded ring of Rows (enabled count, phase census,
 //     wave counts, guard-cache hit rate) sampled every SampleEvery steps.
 //   - Causal wave spans: one Span per PIF wave (broadcast start → feedback
@@ -52,14 +52,9 @@ type Config struct {
 	// MaxSpans bounds retained wave spans; later waves still count in the
 	// aggregate histograms but drop their span records (default 4096).
 	MaxSpans int
-	// Timing enables wall-clock measurements (step duration, wave wall
-	// time). Requires Clock.
-	Timing bool
-	// DetailTiming additionally records the eval/commit split inside a
-	// step (flat engine only); costs two extra clock reads per step.
-	DetailTiming bool
 	// Clock is a monotonic nanosecond source (e.g. time.Now().UnixNano or
-	// a monotonic-delta closure). Nil disables all timing.
+	// a monotonic-delta closure). Wall-clock measurements (step duration,
+	// wave wall time) are on exactly when it is set.
 	Clock func() int64
 	// FlightDepth is the flight recorder's checkpoint count; 0 disables
 	// the recorder.
@@ -107,9 +102,9 @@ type StepInfo struct {
 	// QueueDepth is the event engine's wake-queue occupancy after the step
 	// (entries, duplicates included); zero for the other engines.
 	QueueDepth int
-	// EvalNS, CommitNS, StepNS are wall-clock durations (0 when the engine
-	// has no clock or the corresponding timing level is off).
-	EvalNS, CommitNS, StepNS int64
+	// StepNS is the step's wall-clock duration (0 when the engine has no
+	// clock).
+	StepNS int64
 }
 
 // StateSource lets Telemetry capture full configurations without binding
@@ -168,7 +163,6 @@ type Telemetry struct {
 	cenB, cenF, cenC       atomic.Int64
 	waveRounds, waveSteps  LogHist
 	waveNS, stepNS         LogHist
-	evalNS, commitNS       LogHist
 	evals, applies         obs.Counter
 
 	mu         sync.Mutex
@@ -204,13 +198,6 @@ func New(cfg Config) *Telemetry {
 	if cfg.FlightEvery <= 0 {
 		cfg.FlightEvery = 1024
 	}
-	if cfg.DetailTiming {
-		cfg.Timing = true
-	}
-	if cfg.Clock == nil {
-		cfg.Timing = false
-		cfg.DetailTiming = false
-	}
 	t := &Telemetry{
 		cfg:        cfg,
 		series:     newSeries(cfg.SeriesCap),
@@ -234,15 +221,11 @@ func (t *Telemetry) Enabled() bool { return t != nil }
 //
 //snapvet:hotpath
 func (t *Telemetry) Now() int64 {
-	if t == nil || !t.cfg.Timing {
+	if t == nil || t.cfg.Clock == nil {
 		return 0
 	}
 	return t.cfg.Clock()
 }
-
-// DetailTiming reports whether the engine should take the extra per-phase
-// clock reads (eval/commit split).
-func (t *Telemetry) DetailTiming() bool { return t != nil && t.cfg.DetailTiming }
 
 // BeginRun (re)binds the telemetry to a run: stores the metadata, seeds
 // the incremental phase census from one full pass, resets the wave state,
@@ -314,12 +297,6 @@ func (t *Telemetry) Step(info StepInfo, src StateSource) {
 	}
 	if info.StepNS > 0 {
 		t.stepNS.Observe(info.StepNS)
-	}
-	if info.EvalNS > 0 {
-		t.evalNS.Observe(info.EvalNS)
-	}
-	if info.CommitNS > 0 {
-		t.commitNS.Observe(info.CommitNS)
 	}
 
 	t.mu.Lock()
@@ -568,7 +545,7 @@ func (t *Telemetry) Totals() (steps, moves int64) {
 }
 
 // Hist returns an aggregate histogram by its registry suffix — wave_rounds,
-// wave_steps, wave_ns, step_ns, eval_ns, or commit_ns — or nil for unknown
+// wave_steps, wave_ns, or step_ns — or nil for unknown
 // names and disabled telemetry.
 func (t *Telemetry) Hist(name string) *LogHist {
 	if t == nil {
@@ -583,10 +560,6 @@ func (t *Telemetry) Hist(name string) *LogHist {
 		return &t.waveNS
 	case "step_ns":
 		return &t.stepNS
-	case "eval_ns":
-		return &t.evalNS
-	case "commit_ns":
-		return &t.commitNS
 	}
 	return nil
 }
@@ -607,8 +580,6 @@ func (t *Telemetry) Hist(name string) *LogHist {
 //	flat.guard.hits/misses     counter   hbits guard-cache tallies
 //	flat.sweep.shard_evals     counter   guard evaluations
 //	flat.sweep.shard_applies   counter   staged applications
-//	flat.sweep.eval_ns         loghist   guard-refresh duration per step
-//	flat.sweep.commit_ns       loghist   commit duration per step
 func (t *Telemetry) PublishTo(reg *obs.Registry) {
 	if t == nil || reg == nil {
 		return
@@ -629,8 +600,6 @@ func (t *Telemetry) PublishTo(reg *obs.Registry) {
 	reg.Register("flat.guard.misses", &t.guardMisses)
 	reg.Register("flat.sweep.shard_evals", &t.evals)
 	reg.Register("flat.sweep.shard_applies", &t.applies)
-	reg.Register("flat.sweep.eval_ns", &t.evalNS)
-	reg.Register("flat.sweep.commit_ns", &t.commitNS)
 }
 
 // gauge adapts an atomic.Int64 to expvar.Var.

@@ -1,8 +1,8 @@
 package trace_test
 
 import (
+	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"snappif/internal/check"
@@ -11,211 +11,82 @@ import (
 	"snappif/internal/graph"
 	"snappif/internal/obs"
 	"snappif/internal/sim"
-	"snappif/internal/trace"
 )
 
-// TestRecordReplayRoundTrip records a randomized corrupted-start run and
-// replays it: the replay must reproduce the original bit for bit.
+// TestRecordReplayRoundTrip records a randomized corrupted-start run with
+// the step tracer, decodes the trace, and replays its step stream from the
+// trace's init snapshot on the trace's topology: the replay must reproduce
+// the original bit for bit.
 func TestRecordReplayRoundTrip(t *testing.T) {
 	g, err := graph.RandomConnected(10, 0.3, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	pr := core.MustNew(g, 0)
+	cfg := sim.NewConfiguration(g, pr)
+	fault.UniformRandom().Apply(cfg, pr, rand.New(rand.NewSource(7)))
 
-	run := func(d sim.Daemon, rec *trace.Recorder) (sim.Result, *sim.Configuration) {
-		pr := core.MustNew(g, 0)
-		cfg := sim.NewConfiguration(g, pr)
-		fault.UniformRandom().Apply(cfg, pr, rand.New(rand.NewSource(7)))
-		obs := check.NewCycleObserver(pr)
-		observers := []sim.Observer{obs}
-		if rec != nil {
-			observers = append(observers, rec)
-		}
-		res, err := sim.Run(cfg, pr, d, sim.Options{
-			Seed:      11,
-			Observers: observers,
-			StopWhen:  obs.StopAfterCycles(2),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, cfg
+	var buf bytes.Buffer
+	tr := obs.New(&buf, pr)
+	tr.BeginRun(g, "dist-random-0.50", 11, cfg)
+	cyc := check.NewCycleObserver(pr)
+	orig, err := sim.Run(cfg, pr, sim.DistributedRandom{P: 0.5}, sim.Options{
+		Seed:      11,
+		Observers: []sim.Observer{cyc, tr},
+		StopWhen:  cyc.StopAfterCycles(2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	protoForNames := core.MustNew(g, 0)
-	rec := trace.NewRecorder(protoForNames, 0)
-	orig, origCfg := run(sim.DistributedRandom{P: 0.5}, rec)
-
-	replay := &sim.Replay{Script: rec.Choices()}
-	redo, redoCfg := run(replay, nil)
+	dec, err := obs.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := dec.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr2 := core.MustNew(g2, dec.Meta.Root)
+	redoCfg := sim.NewConfiguration(g2, pr2)
+	var script [][]sim.Choice
+	for _, ev := range dec.Events {
+		switch ev.T {
+		case "init":
+			if err := ev.Restore(redoCfg); err != nil {
+				t.Fatal(err)
+			}
+		case "step":
+			step := make([]sim.Choice, len(ev.Exec))
+			for i, pa := range ev.Exec {
+				step[i] = sim.Choice{Proc: pa[0], Action: pa[1]}
+			}
+			script = append(script, step)
+		}
+	}
+	replay := &sim.Replay{Script: script}
+	cyc2 := check.NewCycleObserver(pr2)
+	redo, err := sim.Run(redoCfg, pr2, replay, sim.Options{
+		Seed:      11,
+		Observers: []sim.Observer{cyc2},
+		StopWhen:  cyc2.StopAfterCycles(2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if orig.Steps != redo.Steps || orig.Moves != redo.Moves || orig.Rounds != redo.Rounds {
 		t.Fatalf("replay diverged: %+v vs %+v", orig, redo)
 	}
-	for p := range origCfg.States {
-		if core.At(origCfg, p) != core.At(redoCfg, p) {
+	for p := range cfg.States {
+		if core.At(cfg, p) != core.At(redoCfg, p) {
 			t.Fatalf("state of p%d diverged", p)
 		}
 	}
 	if !replay.Exhausted() {
 		t.Fatal("script not fully consumed")
-	}
-}
-
-// TestRecorderJSON checks that the recorder's export is a JSONL event trace
-// in the obs schema: header with action names, one step event per retained
-// step, and a summary with per-action totals.
-func TestRecorderJSON(t *testing.T) {
-	g, err := graph.Line(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := core.MustNew(g, 0)
-	cfg := sim.NewConfiguration(g, pr)
-	rec := trace.NewRecorder(pr, 0)
-	cyc := check.NewCycleObserver(pr)
-	res, err := sim.Run(cfg, pr, sim.Synchronous{}, sim.Options{
-		Observers: []sim.Observer{rec, cyc},
-		StopWhen:  cyc.StopAfterCycles(1),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := rec.JSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := obs.ReadTrace(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatalf("recorder export is not a readable trace: %v", err)
-	}
-	if tr.Meta == nil || len(tr.Meta.Actions) != len(pr.ActionNames()) {
-		t.Fatalf("header lacks action names: %+v", tr.Meta)
-	}
-	steps := 0
-	for _, ev := range tr.Events {
-		if ev.T == "step" {
-			steps++
-			if ev.I != steps {
-				t.Fatalf("step events out of order: %d-th has i=%d", steps, ev.I)
-			}
-		}
-	}
-	if steps != res.Steps {
-		t.Fatalf("export has %d step events, run had %d steps", steps, res.Steps)
-	}
-	if tr.Summary == nil || tr.Summary.MovesPerAction["B-action"] != 4 {
-		t.Fatalf("summary wrong: %+v", tr.Summary)
-	}
-	if tr.Summary.Steps != res.Steps || tr.Summary.Moves != res.Moves {
-		t.Fatalf("summary totals %d/%d, run %d/%d",
-			tr.Summary.Steps, tr.Summary.Moves, res.Steps, res.Moves)
-	}
-}
-
-// TestRecorderLimitDropsTail pins the drop policy: with Limit k, the first
-// k steps are kept verbatim (a replayable prefix), later steps are only
-// counted, and running totals keep accumulating.
-func TestRecorderLimitDropsTail(t *testing.T) {
-	g, err := graph.Ring(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := core.MustNew(g, 0)
-	cfg := sim.NewConfiguration(g, pr)
-	const limit = 10
-	rec := trace.NewRecorder(pr, limit)
-	res, err := sim.Run(cfg, pr, sim.Synchronous{}, sim.Options{
-		Observers: []sim.Observer{rec},
-		StopWhen:  func(rs *sim.RunState) bool { return rs.Steps >= 40 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Events) != limit {
-		t.Fatalf("retained %d events, want %d", len(rec.Events), limit)
-	}
-	for i, ev := range rec.Events {
-		if ev.Step != i+1 {
-			t.Fatalf("event %d is step %d; the head must be contiguous", i, ev.Step)
-		}
-	}
-	if rec.Dropped != res.Steps-limit {
-		t.Fatalf("dropped %d, want %d", rec.Dropped, res.Steps-limit)
-	}
-	total := 0
-	for _, n := range rec.Moves {
-		total += n
-	}
-	if total != res.Moves {
-		t.Fatalf("move totals stopped at the limit: %d, want %d", total, res.Moves)
-	}
-
-	// The export records the full-run totals next to the truncated events.
-	var b strings.Builder
-	if err := rec.JSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := obs.ReadTrace(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Summary == nil || tr.Summary.Dropped != rec.Dropped || tr.Summary.Steps != res.Steps {
-		t.Fatalf("summary does not record the drop: %+v", tr.Summary)
-	}
-
-	// The retained prefix must replay: the first `limit` steps of a fresh
-	// run under sim.Replay reproduce the recorded choices.
-	cfg2 := sim.NewConfiguration(g, pr)
-	rec2 := trace.NewRecorder(pr, 0)
-	if _, err := sim.Run(cfg2, pr, &sim.Replay{Script: rec.Choices()}, sim.Options{
-		Observers: []sim.Observer{rec2},
-		StopWhen:  func(rs *sim.RunState) bool { return rs.Steps >= limit },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range rec.Events {
-		a, b := rec.Events[i], rec2.Events[i]
-		if a.Step != b.Step || len(a.Executed) != len(b.Executed) {
-			t.Fatalf("replayed prefix diverges at step %d", a.Step)
-		}
-		for j := range a.Executed {
-			if a.Executed[j] != b.Executed[j] {
-				t.Fatalf("replayed prefix diverges at step %d choice %d", a.Step, j)
-			}
-		}
-	}
-}
-
-// TestRecorderJSONByteIdentical is the byte-level determinism regression
-// for the recorder's export path: two identical runs (same topology,
-// protocol, daemon, seed) must serialize to exactly the same JSONL bytes.
-func TestRecorderJSONByteIdentical(t *testing.T) {
-	render := func() string {
-		g, err := graph.RandomConnected(9, 0.35, rand.New(rand.NewSource(7)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr := core.MustNew(g, 0)
-		cfg := sim.NewConfiguration(g, pr)
-		fault.UniformRandom().Apply(cfg, pr, rand.New(rand.NewSource(2)))
-		rec := trace.NewRecorder(pr, 0)
-		cyc := check.NewCycleObserver(pr)
-		if _, err := sim.Run(cfg, pr, sim.DistributedRandom{P: 0.5}, sim.Options{
-			Seed:      13,
-			Observers: []sim.Observer{rec, cyc},
-			StopWhen:  cyc.StopAfterCycles(1),
-		}); err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		if err := rec.JSON(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	a, b := render(), render()
-	if a != b {
-		t.Fatalf("identical runs exported differently:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}
 }

@@ -1,7 +1,6 @@
 // Package trace provides the measurement substrate for the experiment
 // harness: aligned text tables (the "rows the paper reports"), descriptive
-// statistics, CSV export, and a step-event recorder for debugging and the
-// examples.
+// statistics, CSV export, and per-experiment wall-clock timings.
 package trace
 
 import (

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"snappif/internal/graph"
-	"snappif/internal/sim"
 	"snappif/internal/trace"
 )
 
@@ -103,52 +101,5 @@ func TestSampleStatsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// fireProto is a tiny protocol for Recorder tests.
-type fireProto struct{}
-
-type fireState bool
-
-func (s fireState) Clone() sim.State { return s }
-
-func (fireProto) Name() string               { return "fire" }
-func (fireProto) ActionNames() []string      { return []string{"fire"} }
-func (fireProto) InitialState(int) sim.State { return fireState(false) }
-func (fireProto) Enabled(c *sim.Configuration, p int) []int {
-	if !bool(c.States[p].(fireState)) {
-		return []int{0}
-	}
-	return nil
-}
-func (fireProto) Apply(*sim.Configuration, int, int) sim.State { return fireState(true) }
-
-func TestRecorder(t *testing.T) {
-	g, err := graph.Line(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.NewConfiguration(g, fireProto{})
-	rec := trace.NewRecorder(fireProto{}, 3)
-	if _, err := sim.Run(cfg, fireProto{}, sim.Central{Order: sim.CentralLowestID}, sim.Options{
-		Observers: []sim.Observer{rec},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Events) != 3 || rec.Dropped != 3 {
-		t.Fatalf("events=%d dropped=%d, want 3/3", len(rec.Events), rec.Dropped)
-	}
-	if rec.Moves["fire"] != 6 {
-		t.Fatalf("moves = %v", rec.Moves)
-	}
-	var b strings.Builder
-	rec.Dump(&b)
-	if !strings.Contains(b.String(), "p0:fire") || !strings.Contains(b.String(), "further steps not recorded") {
-		t.Fatalf("dump = %q", b.String())
-	}
-	mt := rec.MovesTable()
-	if mt.Len() != 1 {
-		t.Fatalf("moves table rows = %d", mt.Len())
 	}
 }

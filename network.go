@@ -11,7 +11,6 @@ import (
 	"snappif/internal/obs"
 	"snappif/internal/sim"
 	"snappif/internal/telemetry"
-	"snappif/internal/trace"
 	"snappif/internal/viz"
 )
 
@@ -81,7 +80,6 @@ type Network struct {
 	monitor    bool
 	traceW     io.Writer
 	traceEvery int
-	recorder   *trace.Recorder
 	tracer     *obs.Tracer
 	telObs     *telemetry.Observer
 	telMeta    telemetry.RunMeta
@@ -91,18 +89,16 @@ type Network struct {
 type NetworkOption func(*networkOptions)
 
 type networkOptions struct {
-	daemon      sim.Daemon
-	seed        int64
-	lmax        int
-	combine     CombineFunc
-	maxSteps    int
-	monitor     bool
-	traceW      io.Writer
-	traceEvery  int
-	record      bool
-	recordLimit int
-	eventW      io.Writer
-	telemetry   *telemetry.Telemetry
+	daemon     sim.Daemon
+	seed       int64
+	lmax       int
+	combine    CombineFunc
+	maxSteps   int
+	monitor    bool
+	traceW     io.Writer
+	traceEvery int
+	eventW     io.Writer
+	telemetry  *telemetry.Telemetry
 }
 
 // WithDaemon selects the scheduling daemon (default: DistributedDaemon(0.5)).
@@ -136,17 +132,6 @@ func WithMaxSteps(n int) NetworkOption {
 // Intended for tests and demos — it makes runs considerably slower.
 func WithInvariantChecking() NetworkOption {
 	return func(o *networkOptions) { o.monitor = true }
-}
-
-// WithEventRecording keeps a log of every executed action across the
-// network's runs (up to limit steps; 0 = unlimited, keep-head drop policy
-// beyond it), retrievable as JSONL via Network.TraceJSON — the
-// machine-readable counterpart of WithRoundTrace.
-func WithEventRecording(limit int) NetworkOption {
-	return func(o *networkOptions) {
-		o.record = true
-		o.recordLimit = limit
-	}
 }
 
 // WithEventTrace streams the structured JSONL event trace of every run to w:
@@ -216,11 +201,8 @@ func NewNetwork(topo Topology, root int, opts ...NetworkOption) (*Network, error
 		traceW:     o.traceW,
 		traceEvery: o.traceEvery,
 	}
-	if o.record {
-		net.recorder = trace.NewRecorder(proto, o.recordLimit)
-	}
 	if o.eventW != nil {
-		net.tracer = obs.New(o.eventW, obs.WithProtocol(proto))
+		net.tracer = obs.New(o.eventW, proto)
 	}
 	if o.telemetry.Enabled() {
 		net.telObs = &telemetry.Observer{T: o.telemetry, Proto: proto}
@@ -327,9 +309,6 @@ func (n *Network) RunWaves(k int) ([]WaveResult, error) {
 	if n.traceW != nil {
 		observers = append(observers,
 			&viz.Watcher{W: n.traceW, Proto: n.proto, Every: n.traceEvery})
-	}
-	if n.recorder != nil {
-		observers = append(observers, n.recorder)
 	}
 	seed := n.rng.Int63()
 	if n.tracer.Enabled() {
@@ -476,16 +455,6 @@ type ProcessorState struct {
 	Value int64
 	// Aggregate is the last computed feedback aggregate.
 	Aggregate int64
-}
-
-// TraceJSON writes the accumulated action trace as JSONL in the structured
-// event schema (readable by the piftrace CLI). The network must have been
-// built WithEventRecording.
-func (n *Network) TraceJSON(w io.Writer) error {
-	if n.recorder == nil {
-		return errors.New("snappif: event recording not enabled; build the network WithEventRecording")
-	}
-	return n.recorder.JSON(w)
 }
 
 // WriteTree draws the currently built broadcast tree (and any abnormal

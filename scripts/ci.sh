@@ -136,6 +136,10 @@ echo "== determinism + pipelining (service: pipelined == serial payloads, canoni
 go test ./internal/service/ -run 'TestPipelinedMatchesSerial|TestServiceDeterminism|TestScenarioDumpReplayBitIdentical' -count=1
 go test . -run TestMultiInitiatorCrossEngine -count=1
 
+echo "== trace round trip (pifsim step trace must pass the offline replay check) =="
+go run ./cmd/pifsim -topo grid -n 16 -corrupt uniform -waves 3 -events artifacts/pifsim.jsonl
+go run ./cmd/piftrace check artifacts/pifsim.jsonl
+
 echo "== hunt smoke (clean protocol must hunt clean on a 2x4 grid) =="
 go run ./cmd/pifhunt hunt -topo grid:2x4 -trials 4 -steps 4000
 
