@@ -85,12 +85,12 @@ type Spec struct {
 	// are filled in.
 	TelemetryMeta telemetry.RunMeta
 	// Gate, when non-nil, withholds every enabled choice (p, a) it rejects
-	// from the schedule: a filtering daemon on sim and flat, the wake-queue
-	// gate (event.Options.Gate) on event. A gated event runner always runs
-	// in latency mode (nil Latency means event.Constant(1)). A gated runner
-	// must never be stepped once every enabled choice is withheld, and
-	// Options.FairnessAge must exceed the run's horizon, or fairness
-	// forcing would bypass the gate.
+	// from the schedule: a filtering daemon on sim, event.Options.Gate on
+	// flat (filtering the daemon's selection) and on event (the wake-queue
+	// gate). A gated event runner always runs in latency mode (nil Latency
+	// means event.Constant(1)). A gated runner must never be stepped once
+	// every enabled choice is withheld, and Options.FairnessAge must exceed
+	// the run's horizon, or fairness forcing would bypass the gate.
 	Gate func(p, a int) bool
 }
 
@@ -150,19 +150,16 @@ func New(s Spec) (Runner, error) {
 		Telemetry:     s.Telemetry,
 		TelemetryMeta: s.TelemetryMeta,
 		VClock:        s.VClock,
+		Gate:          s.Gate,
 	}
 	d := s.Daemon
 	if s.Engine == Flat {
-		// flat is the event runner in external-daemon mode, gated like sim.
-		d = gated(d, s.Gate)
+		// flat is the event runner in external-daemon mode.
 		if opts.TelemetryMeta.Engine == "" {
 			opts.TelemetryMeta.Engine = Flat
 		}
-	} else if gate := s.Gate; gate != nil {
-		opts.Gate = func(p int, a int32) bool { return gate(p, int(a)) }
-		if opts.Latency == nil {
-			opts.Latency = event.Constant(1)
-		}
+	} else if s.Gate != nil && opts.Latency == nil {
+		opts.Latency = event.Constant(1)
 	}
 	if opts.Latency != nil {
 		d = nil // latency mode schedules itself
@@ -198,7 +195,10 @@ func newSim(s Spec) (Runner, error) {
 	if cfg == nil {
 		cfg = sim.NewConfiguration(s.Graph, s.Proto)
 	}
-	d := gated(s.Daemon, s.Gate)
+	d := s.Daemon
+	if s.Gate != nil {
+		d = &gateDaemon{inner: d, admit: s.Gate}
+	}
 	opts := s.Options
 	if s.Telemetry.Enabled() {
 		pr, ok := s.Proto.(*core.Protocol)
@@ -226,17 +226,11 @@ func newSim(s Spec) (Runner, error) {
 	return &simRunner{Runner: sim.NewRunner(cfg, s.Proto, d, opts), c: cfg}, nil
 }
 
-// gated wraps d in the admission filter when gate is non-nil.
-func gated(d sim.Daemon, gate func(p, a int) bool) sim.Daemon {
-	if gate == nil {
-		return d
-	}
-	return &gateDaemon{inner: d, admit: gate}
-}
-
 // gateDaemon filters the inner daemon's selection through the admission
-// gate. Filtering happens after the inner daemon drew its choices, so the
-// RNG draw sequence is the inner daemon's own.
+// gate on sim. Flat and event filter inside the event runner, whose
+// selectChoices is this filter's twin: same rule, same panic. Filtering
+// happens after the inner daemon drew its choices, so the RNG draw
+// sequence is the inner daemon's own.
 type gateDaemon struct {
 	inner sim.Daemon
 	admit func(p, a int) bool
@@ -255,7 +249,7 @@ func (d *gateDaemon) Select(step int, c *sim.Configuration, enabled []sim.Choice
 	if len(out) == 0 {
 		// Stepping a fully gated schedule is the caller's bug: the runner
 		// would fall back to a random pick, silently bypassing the gate.
-		panic("engine: gate emptied the schedule; the caller must park instead of stepping")
+		panic("gate emptied the schedule; the caller must park instead of stepping")
 	}
 	return out
 }

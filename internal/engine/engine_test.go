@@ -2,13 +2,16 @@ package engine_test
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"snappif/internal/core"
 	"snappif/internal/engine"
 	"snappif/internal/event"
+	"snappif/internal/fault"
 	"snappif/internal/graph"
 	"snappif/internal/hunt"
 	"snappif/internal/sim"
@@ -219,6 +222,85 @@ func TestGateEmptiedSchedulePanics(t *testing.T) {
 	}
 }
 
+// TestGateNonSynchronousMatchesSim: under daemons that draw from the RNG,
+// flat's in-runner gate filter selects exactly what sim's gateDaemon does —
+// same draws, same filtered moves, same fairness forcing after the filter.
+// Driven like a serving lane (the root's broadcast is admitted only once the
+// run has parked on it), the two engines agree on every State and Result
+// after each Step, and both panic at the same steps: those where the
+// daemon's pick is all withheld.
+func TestGateNonSynchronousMatchesSim(t *testing.T) {
+	g := ring(t, 24)
+	daemons := []sim.Daemon{
+		sim.DistributedRandom{P: 0.5},
+		sim.Central{Order: sim.CentralRandom},
+		sim.Central{Order: sim.CentralLowestID},
+	}
+	totalRefused := 0
+	for _, d := range daemons {
+		for _, age := range []int{1 << 30, 6} {
+			open := false
+			var rs [2]engine.Runner
+			for i, name := range []string{engine.Sim, engine.Flat} {
+				pr := core.MustNew(g, 0)
+				cfg := sim.NewConfiguration(g, pr)
+				fault.UniformRandom().Apply(cfg, pr, rand.New(rand.NewSource(9)))
+				r, err := engine.New(engine.Spec{
+					Engine: name, Proto: pr, Config: cfg, Daemon: d,
+					Options: sim.Options{Seed: 5, MaxSteps: 1 << 20, FairnessAge: age},
+					Gate:    func(p, a int) bool { return open || p != 0 || a != core.ActionB },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs[i] = r
+			}
+			label := d.Name() + "/age=" + strconv.Itoa(age)
+			step := func(r engine.Runner) (panicked bool) {
+				defer func() { panicked = recover() != nil }()
+				if done, err := r.Step(); done || err != nil {
+					t.Fatalf("%s: gated run ended: %v", label, err)
+				}
+				return false
+			}
+			sr, fr := rs[0], rs[1]
+			committed, refused := 0, 0
+			for steps := 0; steps < 400; steps++ {
+				open = sr.EnabledCount() == 1 && sr.EnabledAction(0) == core.ActionB
+				sp, fp := step(sr), step(fr)
+				if sp != fp {
+					t.Fatalf("%s step %d: sim panicked=%v, flat panicked=%v", label, steps, sp, fp)
+				}
+				if sp {
+					// The panic fires after the daemon's draws and before
+					// any write, so the lockstep goes on from the same
+					// state and RNG position.
+					refused++
+					continue
+				}
+				committed++
+				for p := 0; p < g.N(); p++ {
+					if s, f := sr.State(p), fr.State(p); s != f {
+						t.Fatalf("%s step %d: proc %d sim %+v, flat %+v", label, steps, p, s, f)
+					}
+				}
+				s, f := sr.Result(), fr.Result()
+				s.Final, f.Final = nil, nil // flat materializes it only at the end
+				if !reflect.DeepEqual(s, f) {
+					t.Fatalf("%s step %d: Result sim %+v, flat %+v", label, steps, s, f)
+				}
+			}
+			if committed < 100 {
+				t.Fatalf("%s: lockstep committed only %d steps (%d refused)", label, committed, refused)
+			}
+			totalRefused += refused
+		}
+	}
+	if totalRefused == 0 {
+		t.Fatal("no daemon ever picked only the withheld broadcast; the panic path went untested")
+	}
+}
+
 // TestSpecErrors: the seam rejects what an engine cannot run.
 func TestSpecErrors(t *testing.T) {
 	g := ring(t, 5)
@@ -301,27 +383,49 @@ func TestServeMethodsNeedAWakeQueue(t *testing.T) {
 }
 
 // TestEngineZeroAllocsPerStep: stepping through the seam's Runner interface
-// keeps every engine's zero-allocations-per-step contract.
+// keeps every engine's zero-allocations-per-step contract, and so does the
+// serving configuration — flat under the synchronous daemon with a lane's
+// admission gate, which withholds the root's broadcast until the run has
+// parked on it, as a lane does until a request is queued.
 func TestEngineZeroAllocsPerStep(t *testing.T) {
 	g := ring(t, 64)
+	type input struct {
+		name string
+		spec engine.Spec
+	}
+	var inputs []input
 	for _, name := range engine.Names() {
-		r, err := engine.New(engine.Spec{
-			Engine: name, Proto: core.MustNew(g, 0), Graph: g, Daemon: sim.DistributedRandom{P: 0.5},
+		inputs = append(inputs, input{name, engine.Spec{
+			Engine: name, Daemon: sim.DistributedRandom{P: 0.5},
 			Options: sim.Options{Seed: 1, MaxSteps: 1 << 30},
-		})
+		}})
+	}
+	open := false
+	inputs = append(inputs, input{"serving flat", engine.Spec{
+		Engine: engine.Flat, Daemon: sim.Synchronous{},
+		Options: sim.Options{Seed: 1, MaxSteps: 1 << 30, FairnessAge: 1 << 30},
+		Gate:    func(p, a int) bool { return open || p != 0 || a != core.ActionB },
+	}})
+	for _, in := range inputs {
+		in.spec.Proto, in.spec.Graph = core.MustNew(g, 0), g
+		r, err := engine.New(in.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		step := func() (bool, error) {
+			open = r.EnabledCount() == 1 && r.EnabledAction(0) == core.ActionB
+			return r.Step()
+		}
 		for i := 0; i < 2000; i++ {
-			r.Step()
+			step()
 		}
 		allocs := testing.AllocsPerRun(200, func() {
-			if done, err := r.Step(); done {
-				t.Fatalf("%s: run ended mid-measurement: %v", name, err)
+			if done, err := step(); done {
+				t.Fatalf("%s: run ended mid-measurement: %v", in.name, err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s: Step through the seam allocates %.2f objects/step, want 0", name, allocs)
+			t.Errorf("%s: Step through the seam allocates %.2f objects/step, want 0", in.name, allocs)
 		}
 	}
 }

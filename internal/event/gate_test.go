@@ -1,6 +1,7 @@
 package event_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,12 +15,13 @@ import (
 // This file pins the serving-layer contract added for internal/service: a
 // gated runner withholds the root broadcast without losing liveness (park →
 // Wake → full wave → park again), ServeStep never commits a batch beyond its
-// bound, and the degenerate uses (Gate without latency mode, Run with a
-// Gate) are rejected up front.
+// bound, a gate in external-daemon mode filters the daemon's selection and
+// refuses to step a schedule it empties, and ServeStep outside latency mode
+// is rejected.
 
 // newGatedRunner builds a clean line(n) start in latency mode with the given
 // admission gate.
-func newGatedRunner(t *testing.T, n int, gate func(p int, a int32) bool) (*event.Runner, *flat.Config, *flat.Protocol) {
+func newGatedRunner(t *testing.T, n int, gate func(p, a int) bool) (*event.Runner, *flat.Config, *flat.Protocol) {
 	t.Helper()
 	g, err := graph.Line(n)
 	if err != nil {
@@ -72,8 +74,8 @@ func drain(t *testing.T, r *event.Runner, limit int64) int {
 func TestEventGateParkWakeWave(t *testing.T) {
 	const n = 5
 	open := false
-	r, fc, _ := newGatedRunner(t, n, func(p int, a int32) bool {
-		return open || p != 0 || a != int32(core.ActionB) // root is processor 0
+	r, fc, _ := newGatedRunner(t, n, func(p, a int) bool {
+		return open || p != 0 || a != core.ActionB // root is processor 0
 	})
 
 	// Closed gate: the seed wake at tick 1 is consumed, the broadcast
@@ -176,7 +178,7 @@ func TestEventGateAdmittedMatchesUngated(t *testing.T) {
 	rB, err := event.NewRunner(fcB, kB, nil, event.Options{
 		Options: sim.Options{Seed: 3, MaxSteps: 1 << 20, StopWhen: stop},
 		Latency: event.Constant(2),
-		Gate:    func(int, int32) bool { return true },
+		Gate:    func(int, int) bool { return true },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,16 +219,29 @@ func TestEventGateRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := func(int, int32) bool { return true }
-
 	fc, err := flat.FromSim(sim.NewConfiguration(g, pr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := event.NewRunner(fc, k, sim.Synchronous{}, event.Options{Gate: gate}); err == nil ||
-		!strings.Contains(err.Error(), "Gate requires") {
-		t.Fatalf("NewRunner with Gate but no Latency: err = %v", err)
+
+	// A Gate without Latency filters the external daemon's selection. The
+	// clean start enables only the root's broadcast, so a gate withholding
+	// it empties the schedule, and stepping that is the caller's bug: Step
+	// panics instead of falling back to a gate-bypassing pick.
+	gated, err := event.NewRunner(fc.Clone(), k, sim.Synchronous{}, event.Options{
+		Gate: func(p, a int) bool { return p != 0 || a != core.ActionB },
+	})
+	if err != nil {
+		t.Fatalf("NewRunner with Gate but no Latency: %v", err)
 	}
+	func() {
+		defer func() {
+			if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "gate emptied") {
+				t.Fatalf("stepping a fully gated daemon schedule: recovered %v, want a gate-emptied panic", v)
+			}
+		}()
+		_, _ = gated.Step()
+	}()
 
 	// ServeStep outside latency mode is rejected per call.
 	r, err := event.NewRunner(fc, k, sim.Synchronous{}, event.Options{Options: sim.Options{Seed: 1}})

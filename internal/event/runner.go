@@ -40,15 +40,21 @@ type Options struct {
 	// wave spans in virtual time instead of wall time.
 	VClock *VirtualClock
 
-	// Gate, when non-nil, filters the induced schedule (latency mode only):
-	// a woken processor whose enabled action a fails Gate(p, a) is withheld
-	// from the batch and its wake consumed. The caller owns the lost-wakeup
-	// cure — whoever opens the gate must call Runner.Wake for the withheld
-	// processor. A fully gated quiescent schedule parks (Idle) instead of
-	// reporting a drained-queue invariant violation or terminating, so a
-	// gated runner must be driven through ServeStep, never to completion
-	// by sim.Drive (engine.Run rejects a gate for this reason).
-	Gate func(p int, a int32) bool
+	// Gate, when non-nil, withholds every enabled choice (p, a) for which
+	// Gate(p, a) is false. In external-daemon mode it filters the daemon's
+	// selection, before fairness forcing, and stepping a schedule the gate
+	// empties panics: the caller must check EnabledCount/EnabledActionOf
+	// before each Step and stop stepping (park) when only withheld choices
+	// are left. In latency mode a woken processor whose action fails the
+	// gate is withheld from the batch and its wake consumed. The caller
+	// owns the lost-wakeup cure — whoever opens the gate must call
+	// Runner.Wake for the withheld processor. A fully gated quiescent
+	// schedule parks (Idle) instead of reporting a drained-queue invariant
+	// violation or terminating, so a gated latency-mode runner must be
+	// driven through ServeStep. In either mode a gated runner never runs
+	// to completion under sim.Drive (engine.Run rejects a gate for this
+	// reason).
+	Gate func(p, a int) bool
 }
 
 // Runner is the one stepping loop over the flat kernel's struct-of-arrays
@@ -67,6 +73,9 @@ type Options struct {
 //     the synchronous daemon would be an O(N) cost *per step*.
 //   - In latency mode the schedule itself comes from the wake queue, so a
 //     one-processor frontier steps in O(1) regardless of N.
+//   - A move is staged as a flat.Delta and commits only the registers its
+//     action writes; a Count-action reuses the Sum_p its guard check
+//     cached instead of scanning the children again.
 //
 // In external-daemon mode — the flat engine — the Runner reproduces
 // sim.Runner bit for bit: same RNG draw sequence, same moves, rounds,
@@ -77,6 +86,7 @@ type Runner struct {
 	c    *flat.Config
 	k    *flat.Protocol
 	d    sim.Daemon // nil in latency mode
+	sync bool       // d is sim.Synchronous: select the cached list itself
 	lat  Latency    // nil in external-daemon mode
 	opts Options
 	rng  *rand.Rand
@@ -85,10 +95,15 @@ type Runner struct {
 	res   sim.Result
 	rs    sim.RunState
 
-	// Guard cache: acts[p] is p's enabled action or flat.NoAction; enabled
-	// is the corresponding processor set; buf is the choice list in
-	// ascending processor order, rebuilt only after a change.
+	// Guard cache: acts[p] is p's enabled action or flat.NoAction, and
+	// sums[p] the Sum_p its guard check computed for a Count-action;
+	// enabled is the corresponding processor set; buf is the choice list in
+	// ascending processor order, rebuilt only after a change. refresh
+	// re-checks p whenever a register in p's closed neighborhood changes,
+	// and Sum_p reads only those registers, so a cached Sum_p is current
+	// whenever p's cached action is.
 	acts     []int32
+	sums     []int
 	enabled  *bitset.Hier
 	buf      []sim.Choice
 	bufValid bool
@@ -111,10 +126,10 @@ type Runner struct {
 	pendingCount int
 	enabledCount int
 
-	scratch  bitset.Bits
-	dirtyBuf []int32
+	// evalStamp[p] is the step whose refresh last re-checked p.
+	evalStamp []int
 
-	stage []core.State
+	deltas []flat.Delta
 
 	actionMoves []int
 	actPrev     []int
@@ -130,10 +145,11 @@ type Runner struct {
 	wakeStamp []int64
 	wakeBuf   []int32
 
-	// Serving-layer gating (latency mode only): the admission filter, the
-	// current ServeStep bound (-1 = unbounded), and whether the last Step
-	// committed a batch (vs parking or stopping short of the bound).
-	gate       func(p int, a int32) bool
+	// Serving-layer gating: the admission filter (both modes), and in
+	// latency mode the current ServeStep bound (-1 = unbounded) and whether
+	// the last Step committed a batch (vs parking or stopping short of the
+	// bound).
+	gate       func(p, a int) bool
 	limit      int64
 	progressed bool
 
@@ -169,9 +185,6 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 	if opts.Latency == nil && d == nil {
 		return nil, fmt.Errorf("event: need a daemon or a latency distribution")
 	}
-	if opts.Gate != nil && opts.Latency == nil {
-		return nil, fmt.Errorf("event: Gate requires a latency distribution (the external-daemon path has no wake queue to park)")
-	}
 	for _, o := range opts.Observers {
 		if mo, ok := o.(sim.MutatingObserver); ok && mo.MutatesConfiguration() {
 			return nil, fmt.Errorf("event: mutating observers are not supported (observer %T)", o)
@@ -197,6 +210,7 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 
 		names:     k.ActionNames(),
 		acts:      make([]int32, n),
+		sums:      make([]int, n),
 		enabled:   bitset.NewHier(n),
 		have:      bitset.New(n),
 		lastReset: make([]int, n),
@@ -205,12 +219,13 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 		enabledSince: make([]int, n),
 		removedSeq:   make([]int, n),
 
-		scratch: bitset.New(n),
-		stage:   make([]core.State, n),
+		evalStamp: make([]int, n),
+		deltas:    make([]flat.Delta, n),
 
 		gate:  opts.Gate,
 		limit: -1,
 	}
+	_, r.sync = d.(sim.Synchronous)
 	r.actionMoves = make([]int, len(r.names))
 	r.actPrev = make([]int, len(r.names))
 	r.res = sim.Result{MovesPerAction: make(map[string]int, len(r.names))}
@@ -230,8 +245,8 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 	}
 
 	for p := 0; p < n; p++ {
-		a := k.EnabledAction(c, p)
-		r.acts[p] = a
+		a, sum := k.EnabledAction(c, p)
+		r.acts[p], r.sums[p] = a, sum
 		if a != flat.NoAction {
 			r.enabled.Set(p)
 		}
@@ -277,11 +292,15 @@ func NewRunner(c *flat.Config, k *flat.Protocol, d sim.Daemon, opts Options) (*R
 	return r, nil
 }
 
-// daemonName labels the schedule source: the external daemon's name, or the
-// induced schedule's "event:<distribution>".
+// daemonName labels the schedule source: the external daemon's name —
+// marked "gate(<name>)" when gated, as on the sim engine — or the induced
+// schedule's "event:<distribution>".
 func (r *Runner) daemonName() string {
 	if r.lat != nil {
 		return "event:" + r.lat.Name()
+	}
+	if r.gate != nil {
+		return "gate(" + r.d.Name() + ")"
 	}
 	return r.d.Name()
 }
@@ -365,7 +384,7 @@ func (r *Runner) Idle() bool {
 func (r *Runner) anyEnabledUngated() bool {
 	any := false
 	r.enabled.ForEach(func(p int) { //snapvet:ok non-escaping closure over r, stack-allocated
-		if !any && r.gate(p, r.acts[p]) {
+		if !any && r.gate(p, int(r.acts[p])) {
 			any = true
 		}
 	})
@@ -455,17 +474,7 @@ func (r *Runner) Step() (done bool, err error) {
 			r.finish()
 			return true, r.err
 		}
-		// Selection: the daemon gets its own copy (it may filter in
-		// place) — same buffers, same RNG draw sequence as sim.Runner.
-		r.daemonBuf = append(r.daemonBuf[:0], enabled...)
-		sel := r.d.Select(r.res.Steps, r.facade, r.daemonBuf, r.rng)
-		r.selBuf = append(r.selBuf[:0], sel...)
-		r.selBuf = r.forceAged(r.selBuf, enabled)
-		if len(r.selBuf) == 0 {
-			// Defensive: a daemon must select at least one processor.
-			r.selBuf = append(r.selBuf, enabled[r.rng.Intn(len(enabled))])
-		}
-		selected = r.selBuf
+		selected = r.selectChoices(enabled)
 	} else {
 		if r.enabledCount == 0 {
 			if r.gate != nil {
@@ -504,43 +513,43 @@ func (r *Runner) Step() (done bool, err error) {
 		r.scheduleWakes(selected)
 	}
 
-	// Execute: stage every next state from the pre-step slices, then
-	// scatter-commit. Composite atomicity, distributed daemon.
+	// Execute: stage every move from the pre-step slices, then commit them
+	// all. Composite atomicity, distributed daemon.
 	for i, ch := range selected {
-		r.k.Apply(r.c, ch.Proc, int32(ch.Action), &r.stage[i])
+		r.k.Stage(r.c, ch.Proc, int32(ch.Action), r.sums[ch.Proc], &r.deltas[i])
 	}
 	if r.tel != nil {
 		r.tel.Applies(int64(len(selected)))
-	}
-	packed := false
-	if r.tel != nil {
-		packed = r.tel.WantPacked()
-	}
-	if packed {
-		n := len(selected)
-		if cap(r.packBuf) < n {
-			r.packBuf = make([]uint32, n, 2*n) //snapvet:ok amortized buffer growth, recycled via recorder swap
-		} else {
-			r.packBuf = r.packBuf[:n]
-		}
-		for i, ch := range selected {
-			r.c.SetStateHot(int32(ch.Proc), &r.stage[i])
-			r.packBuf[i] = telemetry.PackChoice(ch.Proc, ch.Action)
-		}
-	} else {
-		for i, ch := range selected {
-			r.c.SetStateHot(int32(ch.Proc), &r.stage[i])
-		}
-	}
-	var db, df, dc int
-	if r.tel != nil {
 		copy(r.actPrev, r.actionMoves)
 	}
-	for _, ch := range selected {
-		r.res.Moves++
+	// The commit carries the per-mover bookkeeping: executed processors
+	// leave the round and restart their fairness age.
+	steps := r.res.Steps + 1
+	for i, ch := range selected {
+		r.c.Commit(&r.deltas[i])
 		r.actionMoves[ch.Action]++
+		r.lastReset[ch.Proc] = steps
+		if r.enabledSince[ch.Proc] <= r.roundStart && r.removedSeq[ch.Proc] != r.roundSeq {
+			r.removedSeq[ch.Proc] = r.roundSeq
+			r.pendingCount--
+		}
 	}
+	r.res.Moves += len(selected)
+	packed := false
+	var db, df, dc int
 	if r.tel != nil {
+		packed = r.tel.WantPacked()
+		if packed {
+			n := len(selected)
+			if cap(r.packBuf) < n {
+				r.packBuf = make([]uint32, n, 2*n) //snapvet:ok amortized buffer growth, recycled via recorder swap
+			} else {
+				r.packBuf = r.packBuf[:n]
+			}
+			for i, ch := range selected {
+				r.packBuf[i] = telemetry.PackChoice(ch.Proc, ch.Action)
+			}
+		}
 		root := r.k.Root
 		rootAct := -1
 		if r.enabled.Test(root) {
@@ -553,10 +562,9 @@ func (r *Runner) Step() (done bool, err error) {
 		}
 		db, df, dc = flat.CensusDeltas(r.actionMoves, r.actPrev, rootAct, rootBefore, r.c.Phase(root))
 	}
-	r.res.Steps++
+	r.res.Steps = steps
 	r.progressed = true
 	r.rs.Steps, r.rs.Moves = r.res.Steps, r.res.Moves
-	steps := r.res.Steps
 	if r.lat == nil {
 		r.vtime = int64(steps)
 	}
@@ -564,18 +572,9 @@ func (r *Runner) Step() (done bool, err error) {
 		r.opts.VClock.set(r.vtime)
 	}
 
-	// Executed processors leave the round and restart their fairness age.
-	for _, ch := range selected {
-		r.lastReset[ch.Proc] = steps
-		if r.enabledSince[ch.Proc] <= r.roundStart && r.removedSeq[ch.Proc] != r.roundSeq {
-			r.removedSeq[ch.Proc] = r.roundSeq
-			r.pendingCount--
-		}
-	}
-
 	if r.mirror != nil {
-		for i, ch := range selected {
-			*(r.mirror.States[ch.Proc].(*core.State)) = r.stage[i]
+		for _, ch := range selected {
+			*(r.mirror.States[ch.Proc].(*core.State)) = r.c.StateAt(ch.Proc)
 		}
 	}
 	for _, o := range r.opts.Observers {
@@ -609,14 +608,6 @@ func (r *Runner) Step() (done bool, err error) {
 		r.roundSeq++
 		r.roundStart = steps
 		r.pendingCount = r.enabledCount
-	}
-
-	// Clear the fairness dedup marks set this step (external-daemon mode
-	// only; latency mode never marks).
-	if r.lat == nil {
-		for _, ch := range selected {
-			r.have.Clear(ch.Proc)
-		}
 	}
 
 	if r.opts.StopWhen != nil && r.opts.StopWhen(&r.rs) {
@@ -660,7 +651,7 @@ func (r *Runner) nextBatch() ([]sim.Choice, error) {
 			if a == flat.NoAction {
 				continue
 			}
-			if r.gate != nil && !r.gate(int(p), a) {
+			if r.gate != nil && !r.gate(int(p), int(a)) {
 				// Withheld: the wake is consumed. The gate opener owns the
 				// re-arm (Runner.Wake) — see Options.Gate.
 				continue
@@ -756,6 +747,44 @@ func (r *Runner) Enabled() []sim.Choice {
 	return out
 }
 
+// selectChoices is the external daemon's selection, filtered by the gate,
+// plus fairness forcing — sim.Runner's selection with the same RNG draws.
+// Under sim.Synchronous the daemon would return the whole enabled list
+// (the PIF guards are mutually exclusive, so its one-choice-per-processor
+// reduction never draws), so the runner takes the cached list itself
+// without handing the daemon a copy. The gate filter is the twin of the
+// sim engine's engine.gateDaemon: same filter, same panic.
+//
+//snapvet:hotpath
+func (r *Runner) selectChoices(enabled []sim.Choice) []sim.Choice {
+	sel := enabled
+	if !r.sync {
+		// The daemon gets its own copy (it may filter in place).
+		r.daemonBuf = append(r.daemonBuf[:0], enabled...)
+		sel = r.d.Select(r.res.Steps, r.facade, r.daemonBuf, r.rng)
+	}
+	r.selBuf = r.selBuf[:0]
+	for _, ch := range sel {
+		if r.gate == nil || r.gate(ch.Proc, ch.Action) {
+			r.selBuf = append(r.selBuf, ch)
+		}
+	}
+	if r.gate != nil && len(r.selBuf) == 0 {
+		// Stepping a fully gated schedule is the caller's bug: the
+		// fallback pick below would silently bypass the gate.
+		panic("gate emptied the schedule; the caller must park instead of stepping")
+	}
+	if r.res.Steps >= r.opts.FairnessAge {
+		// Below FairnessAge steps no age can have reached the bound.
+		r.selBuf = r.forceAged(r.selBuf, enabled)
+	}
+	if len(r.selBuf) == 0 {
+		// Defensive: a daemon must select at least one processor.
+		r.selBuf = append(r.selBuf, enabled[r.rng.Intn(len(enabled))])
+	}
+	return r.selBuf
+}
+
 // forceAged is sim.Runner.forceAged over virtual ages: every enabled
 // processor whose age reached the fairness bound joins the selection,
 // consuming one Intn(1) draw to stay aligned with the sim engine (the PIF
@@ -779,64 +808,67 @@ func (r *Runner) forceAged(selected, enabled []sim.Choice) []sim.Choice {
 			r.have.Set(proc)
 		}
 	}
+	for _, ch := range selected {
+		r.have.Clear(ch.Proc)
+	}
 	return selected
 }
 
-// refresh re-evaluates the guards of the executed processors' closed
+// refresh re-checks the guards of the executed processors' closed
 // neighborhoods — the kernel's invalidation radius is 1, statically
 // certified by snapvet's radiusbound analyzer against Protocol.DirtyRadius
 // — and commits the changes to the enabled set, the choice buffer, the
-// round's pending count, and the fairness ages.
+// round's pending count, and the fairness ages. A processor in several
+// movers' neighborhoods is re-checked once: evalStamp marks it with the
+// step.
 //
 //snapvet:hotpath
 func (r *Runner) refresh(selected []sim.Choice) {
-	r.dirtyBuf = r.dirtyBuf[:0]
-	for _, ch := range selected {
-		if !r.scratch.Test(ch.Proc) {
-			r.scratch.Set(ch.Proc)
-			r.dirtyBuf = append(r.dirtyBuf, int32(ch.Proc))
-		}
-		for _, q := range r.c.Neighbors(ch.Proc) {
-			if !r.scratch.Test(int(q)) {
-				r.scratch.Set(int(q))
-				r.dirtyBuf = append(r.dirtyBuf, q)
-			}
-		}
-	}
-
 	steps := r.res.Steps
-	for _, p32 := range r.dirtyBuf {
-		p := int(p32)
-		r.scratch.Clear(p)
-		a := r.k.EnabledAction(r.c, p)
-		old := r.acts[p]
-		if a == old {
-			r.guardHits++
-			continue
-		}
-		r.guardMisses++
-		r.acts[p] = a
-		r.bufValid = false
-		switch {
-		case a == flat.NoAction:
-			// Enabled → disabled: p leaves the round.
-			r.enabled.Clear(p)
-			r.enabledCount--
-			if r.enabledSince[p] <= r.roundStart && r.removedSeq[p] != r.roundSeq {
-				r.removedSeq[p] = r.roundSeq
-				r.pendingCount--
+	evals := 0
+	for _, ch := range selected {
+		nbrs := r.c.Neighbors(ch.Proc)
+		for j := -1; j < len(nbrs); j++ { // j = -1 is the mover itself
+			p := ch.Proc
+			if j >= 0 {
+				p = int(nbrs[j])
 			}
-		case old == flat.NoAction:
-			// Disabled → enabled: age 1 at the end of this step, and the
-			// epoch predicate keeps p out of the current round's snapshot
-			// (enabledSince > roundStart).
-			r.enabled.Set(p)
-			r.enabledCount++
-			r.lastReset[p] = steps - 1
-			r.enabledSince[p] = steps
+			if r.evalStamp[p] == steps {
+				continue
+			}
+			r.evalStamp[p] = steps
+			evals++
+			a, sum := r.k.EnabledAction(r.c, p)
+			r.sums[p] = sum
+			old := r.acts[p]
+			if a == old {
+				r.guardHits++
+				continue
+			}
+			r.guardMisses++
+			r.acts[p] = a
+			r.bufValid = false
+			switch {
+			case a == flat.NoAction:
+				// Enabled → disabled: p leaves the round.
+				r.enabled.Clear(p)
+				r.enabledCount--
+				if r.enabledSince[p] <= r.roundStart && r.removedSeq[p] != r.roundSeq {
+					r.removedSeq[p] = r.roundSeq
+					r.pendingCount--
+				}
+			case old == flat.NoAction:
+				// Disabled → enabled: age 1 at the end of this step, and
+				// the epoch predicate keeps p out of the current round's
+				// snapshot (enabledSince > roundStart).
+				r.enabled.Set(p)
+				r.enabledCount++
+				r.lastReset[p] = steps - 1
+				r.enabledSince[p] = steps
+			}
 		}
 	}
 	if r.tel != nil {
-		r.tel.Evals(int64(len(r.dirtyBuf)))
+		r.tel.Evals(int64(evals))
 	}
 }

@@ -16,29 +16,31 @@ const NoAction = noAction
 
 // EnabledAction evaluates p's guards on c and returns the enabled action ID
 // or NoAction. The PIF guards are mutually exclusive, so the result is the
-// whole enabled set of p.
+// whole enabled set of p. Alongside core.ActionCount it returns the Sum_p
+// the guard check computed (0 otherwise), for Stage.
 //
 //snapvet:hotpath
-func (k *Protocol) EnabledAction(c *Config, p int) int32 { return k.enabledAction(c, p) }
+func (k *Protocol) EnabledAction(c *Config, p int) (int32, int) { return k.enabledAction(c, p) }
 
-// Apply stages p's action a: dst receives p's next state, computed from the
-// pre-step slices of c. The caller owns commit ordering (composite
-// atomicity: stage everything, then scatter-commit).
+// Stage computes p's move a into d from the pre-step slices of c. sum is
+// the Sum_p EnabledAction returned with a for the current configuration;
+// only a Count-action reads it. The caller owns commit ordering
+// (composite atomicity: stage every move, then commit them all).
 //
 //snapvet:hotpath
-func (k *Protocol) Apply(c *Config, p int, a int32, dst *core.State) { k.apply(c, p, a, dst) }
+func (k *Protocol) Stage(c *Config, p int, a int32, sum int, d *Delta) { k.stage(c, p, a, sum, d) }
+
+// Commit writes one staged move into c, the exported counterpart of
+// commit.
+//
+//snapvet:hotpath
+func (c *Config) Commit(d *Delta) { c.commit(d) }
 
 // Neighbors returns p's CSR adjacency slice (ascending IDs, shared immutable
 // storage — callers must not modify it).
 //
 //snapvet:hotpath
 func (c *Config) Neighbors(p int) []int32 { return c.neighbors(p) }
-
-// SetStateHot scatter-commits one staged state, the exported counterpart of
-// the commit loop's setStateHot.
-//
-//snapvet:hotpath
-func (c *Config) SetStateHot(p int32, s *core.State) { c.setStateHot(p, s) }
 
 // Phase reads p's phase register without gathering the full state.
 //

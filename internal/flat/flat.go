@@ -165,20 +165,41 @@ func (c *Config) SetState(p int, s core.State) {
 	c.agg[p] = s.Agg
 }
 
-// setStateHot is SetState without the exported-API surface, annotated for
-// the hot-path allocation analyzer (the commit loop calls it per selected
-// processor).
+// Delta is one staged move: the registers action A writes at processor P,
+// computed from the pre-step configuration by Protocol.stage. Which fields
+// carry values depends on A (see commit); the others are left over from
+// an earlier move and never read.
+type Delta struct {
+	P, A  int32
+	Par   int32  // B-action
+	Level int32  // B-action
+	Count int32  // B- and Count-action
+	Pif   uint8  // Cleaning and the correction actions
+	Fok   bool   // B- and Count-action
+	Msg   uint64 // B-action
+	Agg   int64  // Feedback
+}
+
+// commit writes one staged move into the registers its action writes:
+// a Count-action, the bulk of a wave's moves, touches two slots instead
+// of a full eight-field state.
 //
 //snapvet:hotpath
-func (c *Config) setStateHot(p int32, s *core.State) {
-	c.pif[p] = uint8(s.Pif)
-	c.par[p] = int32(s.Par)
-	c.level[p] = int32(s.L)
-	c.count[p] = int32(s.Count)
-	c.fok[p] = s.Fok
-	c.msg[p] = s.Msg
-	c.val[p] = s.Val
-	c.agg[p] = s.Agg
+func (c *Config) commit(d *Delta) {
+	p := d.P
+	switch d.A {
+	case core.ActionB:
+		c.pif[p], c.par[p], c.level[p] = phB, d.Par, d.Level
+		c.count[p], c.fok[p], c.msg[p] = d.Count, d.Fok, d.Msg
+	case core.ActionCount:
+		c.count[p], c.fok[p] = d.Count, d.Fok
+	case core.ActionFok:
+		c.fok[p] = true
+	case core.ActionF:
+		c.pif[p], c.agg[p] = phF, d.Agg
+	default: // Cleaning, B-correction, F-correction
+		c.pif[p] = d.Pif
+	}
 }
 
 // WriteSim scatters the flat states back into a boxed configuration holding

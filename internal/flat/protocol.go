@@ -219,7 +219,9 @@ func (k *Protocol) allNeighborsClean(c *Config, p int) bool {
 // noAction — the flat counterpart of sim.Protocol.Enabled, exploiting that
 // the PIF guards are mutually exclusive (at most one action, enforced by
 // property tests on the generic protocol), so the result is a scalar
-// instead of a slice.
+// instead of a slice. Alongside ActionCount it returns the Sum_p its
+// cascade computed (0 with every other result), so stage can take Sum_p
+// from the guard check instead of scanning again.
 //
 // Every guard of Algorithms 1–2 is gated on Pif_p, so the cascade
 // dispatches on the phase first; within a phase each shared sub-predicate
@@ -232,45 +234,45 @@ func (k *Protocol) allNeighborsClean(c *Config, p int) bool {
 // differential grid and FuzzFlatVsGeneric.
 //
 //snapvet:hotpath
-func (k *Protocol) enabledAction(c *Config, p int) int32 {
+func (k *Protocol) enabledAction(c *Config, p int) (int32, int) {
 	if p == k.Root {
 		switch c.pif[p] {
 		case phC:
 			// Only Broadcast can hold; GoodFok and GoodCount are vacuous
 			// for a clean root, so the correction guard never fires.
 			if k.allNeighborsClean(c, p) {
-				return core.ActionB
+				return core.ActionB, 0
 			}
-			return noAction
+			return noAction, 0
 		case phB:
 			if c.fok[p] {
 				// GoodCount is vacuous; Normal reduces to GoodFok's root
 				// clause Count_root = N.
 				if int(c.count[p]) != k.N {
-					return core.ActionBCorrection
+					return core.ActionBCorrection, 0
 				}
 				if k.bfree(c, p) {
-					return core.ActionF // Feedback
+					return core.ActionF, 0 // Feedback
 				}
-				return noAction
+				return noAction, 0
 			}
 			// GoodFok is vacuous; Normal reduces to GoodCount. One Sum
 			// scan serves both GoodCount and NewCount (with the root
 			// repair disjunct, unless the printed guards were requested).
 			sum := k.sum(c, p)
 			if int(c.count[p]) > sum {
-				return core.ActionBCorrection
+				return core.ActionBCorrection, 0
 			}
 			if int(c.count[p]) < sum || (!k.printed && sum == k.N) {
-				return core.ActionCount // NewCount
+				return core.ActionCount, sum // NewCount
 			}
-			return noAction
+			return noAction, 0
 		default: // phF
 			// Normal is vacuously true for a feedback root.
 			if k.allNeighborsClean(c, p) {
-				return core.ActionC // Cleaning
+				return core.ActionC, 0 // Cleaning
 			}
-			return noAction
+			return noAction, 0
 		}
 	}
 	switch c.pif[p] {
@@ -278,9 +280,9 @@ func (k *Protocol) enabledAction(c *Config, p int) int32 {
 		// Only Broadcast can hold; every Good* predicate is vacuous in
 		// phase C, so the correction guards never fire.
 		if k.leafWithPotential(c, p) {
-			return core.ActionB
+			return core.ActionB, 0
 		}
-		return noAction
+		return noAction, 0
 	case phB:
 		par := c.par[p]
 		// Normal in phase B: GoodPif (parent broadcasting), GoodLevel,
@@ -295,21 +297,21 @@ func (k *Protocol) enabledAction(c *Config, p int) int32 {
 			good = int(c.count[p]) <= sum
 		}
 		if !good {
-			return core.ActionBCorrection // AbnormalB
+			return core.ActionBCorrection, 0 // AbnormalB
 		}
 		if c.fok[p] != c.fok[par] {
-			return core.ActionFok // ChangeFok
+			return core.ActionFok, 0 // ChangeFok
 		}
 		if c.fok[p] {
 			if k.bleaf(c, p) {
-				return core.ActionF // Feedback
+				return core.ActionF, 0 // Feedback
 			}
-			return noAction
+			return noAction, 0
 		}
 		if int(c.count[p]) < sum {
-			return core.ActionCount // NewCount
+			return core.ActionCount, sum // NewCount
 		}
-		return noAction
+		return noAction, 0
 	default: // phF
 		par := c.par[p]
 		// Normal in phase F: GoodPif (parent in B or F), GoodLevel, and
@@ -319,12 +321,12 @@ func (k *Protocol) enabledAction(c *Config, p int) int32 {
 			c.level[p] == c.level[par]+1 &&
 			!(parPh == phB && !c.fok[par])
 		if !good {
-			return core.ActionFCorrection // AbnormalF
+			return core.ActionFCorrection, 0 // AbnormalF
 		}
 		if k.leafAndBFree(c, p) {
-			return core.ActionC // Cleaning
+			return core.ActionC, 0 // Cleaning
 		}
-		return noAction
+		return noAction, 0
 	}
 }
 
@@ -348,35 +350,32 @@ func (k *Protocol) aggregate(c *Config, p int) int64 {
 	return acc
 }
 
-// apply executes action a at processor p, reading the pre-step slices and
-// writing p's next state into *dst — the flat counterpart of
-// core.Protocol.apply. It must not touch any Config slice (staging and
+// stage computes action a at processor p from the pre-step slices into d
+// — the flat counterpart of core.Protocol.apply, reduced to the registers
+// the action writes (Config.commit writes exactly those). A Count-action
+// takes Sum_p from sum, the value enabledAction returned with it, instead
+// of scanning again. stage must not touch any Config slice (staging and
 // commit are the runner's job), except for the root's broadcast counter,
 // which only the root's B-action advances.
 //
 //snapvet:hotpath
-func (k *Protocol) apply(c *Config, p int, a int32, dst *core.State) {
-	*dst = c.StateAt(p)
+func (k *Protocol) stage(c *Config, p int, a int32, sum int, d *Delta) {
+	d.P, d.A = int32(p), a
 	if p == k.Root {
 		switch a {
 		case core.ActionB:
-			dst.Pif = core.B
-			dst.Count = 1
-			dst.Fok = k.N == 1
-			dst.Msg = k.nextMsg
+			// The root keeps its parent and level registers.
+			d.Par, d.Level = c.par[p], c.level[p]
+			d.Count, d.Fok, d.Msg = 1, k.N == 1, k.nextMsg
 			//snapvet:ok only the root's B-action reaches this, and a daemon selects at most one action per processor per step (the counter is the kernel's one piece of mutable state)
 			k.nextMsg++
 		case core.ActionF:
-			dst.Pif = core.F
-			dst.Agg = k.aggregate(c, p)
-		case core.ActionC:
-			dst.Pif = core.C
+			d.Agg = k.aggregate(c, p)
+		case core.ActionC, core.ActionBCorrection:
+			d.Pif = phC
 		case core.ActionCount:
-			sum := k.sum(c, p)
-			dst.Count = minInt(sum, k.NPrime)
-			dst.Fok = sum == k.N
-		case core.ActionBCorrection:
-			dst.Pif = core.C
+			d.Count = int32(minInt(sum, k.NPrime))
+			d.Fok = sum == k.N
 		default:
 			panic(fmt.Sprintf("flat: root action %d out of range", a)) //snapvet:ok cold invariant-violation path, never taken in a legal run
 		}
@@ -385,25 +384,18 @@ func (k *Protocol) apply(c *Config, p int, a int32, dst *core.State) {
 	switch a {
 	case core.ActionB:
 		par := k.bestPotential(c, p)
-		dst.Par = int(par)
-		dst.L = int(c.level[par]) + 1
-		dst.Count = 1
-		dst.Fok = false
-		dst.Pif = core.B
-		dst.Msg = c.msg[par]
+		d.Par, d.Level = par, c.level[par]+1
+		d.Count, d.Fok, d.Msg = 1, false, c.msg[par]
 	case core.ActionFok:
-		dst.Fok = true
 	case core.ActionF:
-		dst.Pif = core.F
-		dst.Agg = k.aggregate(c, p)
-	case core.ActionC:
-		dst.Pif = core.C
+		d.Agg = k.aggregate(c, p)
+	case core.ActionC, core.ActionFCorrection:
+		d.Pif = phC
 	case core.ActionCount:
-		dst.Count = minInt(k.sum(c, p), k.NPrime)
+		d.Count = int32(minInt(sum, k.NPrime))
+		d.Fok = c.fok[p]
 	case core.ActionBCorrection:
-		dst.Pif = core.F
-	case core.ActionFCorrection:
-		dst.Pif = core.C
+		d.Pif = phF
 	default:
 		panic(fmt.Sprintf("flat: action %d out of range", a)) //snapvet:ok cold invariant-violation path, never taken in a legal run
 	}

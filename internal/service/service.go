@@ -14,9 +14,9 @@
 // Admission is gate-based and engine-mechanism-preserving: the protocol's
 // guards are never touched. Instead the schedule source withholds the root's
 // B-action while the lane has no pending request — the engine seam's gate
-// (internal/engine: a filtering daemon on sim and flat, the wake-queue gate
-// on event) — and the serving loop parks a lane that has quiesced down to exactly the
-// withheld broadcast. Everything advances on one global virtual clock
+// (internal/engine: a filtering daemon on sim, the event runner's selection
+// filter on flat and its wake-queue gate on event) — and the serving loop
+// parks a lane that has quiesced down to exactly the withheld broadcast. Everything advances on one global virtual clock
 // (ticks), so a run is a pure function of (topology, engine, seed, arrival
 // stream): byte-identical across repetitions. Wall-clock
 // readings come only from the injected Options.Clock and never steer the
@@ -282,7 +282,7 @@ func (s *Server) serve(arrivals []Arrival, serial bool) (*Report, error) {
 		// future work is the next arrival or a pending event-lane wake.
 		if drained {
 			next := int64(-1)
-			if ai < len(arrivals) && (!serial || true) {
+			if ai < len(arrivals) {
 				next = arrivals[ai].T
 			}
 			for _, ln := range s.lanes {

@@ -132,8 +132,8 @@ go test ./cmd/pifexp/ -run TestRunFlatEngineIdenticalStdout -count=1
 echo "== determinism (event engine: three-way differential, latency repeatability) =="
 go test ./internal/event/ -run 'TestEventMatchesThreeWay|TestEventTraceByteIdentical|TestEventRunDeterministic|TestEventLatencyMatchesInducedDaemon' -count=1
 
-echo "== determinism + pipelining (service: pipelined == serial payloads, canonical bytes stable) =="
-go test ./internal/service/ -run 'TestPipelinedMatchesSerial|TestServiceDeterminism|TestScenarioDumpReplayBitIdentical' -count=1
+echo "== determinism + pipelining (service: pipelined == serial payloads, served sim == flat reports, canonical bytes stable) =="
+go test ./internal/service/ -run 'TestPipelinedMatchesSerial|TestServedSimMatchesFlat|TestServiceDeterminism|TestScenarioDumpReplayBitIdentical' -count=1
 go test . -run TestMultiInitiatorCrossEngine -count=1
 
 echo "== trace round trip (pifsim step trace must pass the offline replay check) =="
