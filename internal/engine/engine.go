@@ -112,7 +112,7 @@ type Runner interface {
 }
 
 // New builds the runner spec names. An event runner in latency mode also
-// offers the serving methods ServeStep, Idle, NextWake and Wake by type
+// offers the serving methods ServeStep, Idle and Wake by type
 // assertion; every other runner offers Runner alone.
 func New(s Spec) (Runner, error) {
 	if err := Validate(s.Engine); err != nil {
@@ -270,7 +270,7 @@ func (r *simRunner) EnabledAction(p int) int {
 }
 
 // eventRunner adapts event.Runner over its struct-of-arrays configuration.
-// In latency mode its serving methods (ServeStep, Idle, NextWake, Wake)
+// In latency mode its serving methods (ServeStep, Idle, Wake)
 // stay reachable by type assertion.
 type eventRunner struct {
 	*event.Runner

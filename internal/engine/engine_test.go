@@ -356,7 +356,6 @@ func TestServeMethodsNeedAWakeQueue(t *testing.T) {
 	type server interface {
 		ServeStep(limit int64) (bool, error)
 		Idle() bool
-		NextWake() int64
 		Wake(p int, at int64) int64
 	}
 	g := ring(t, 6)

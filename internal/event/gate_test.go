@@ -86,9 +86,6 @@ func TestEventGateParkWakeWave(t *testing.T) {
 	if !r.Idle() {
 		t.Fatal("closed gate: runner not idle after drain")
 	}
-	if r.NextWake() != -1 {
-		t.Fatalf("closed gate: NextWake = %d, want -1", r.NextWake())
-	}
 	if r.EnabledCount() != 1 || r.EnabledActionOf(0) != int32(core.ActionB) {
 		t.Fatalf("parked lane: enabled=%d act(root)=%d, want the withheld root broadcast",
 			r.EnabledCount(), r.EnabledActionOf(0))
@@ -103,9 +100,6 @@ func TestEventGateParkWakeWave(t *testing.T) {
 	}
 	if r.Idle() {
 		t.Fatal("woken lane still idle")
-	}
-	if r.NextWake() != at {
-		t.Fatalf("NextWake = %d, want %d", r.NextWake(), at)
 	}
 
 	// A bound before the wake commits nothing.

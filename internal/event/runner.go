@@ -344,20 +344,6 @@ func (r *Runner) EnabledCount() int { return r.enabledCount }
 // engine seam's Runner.EnabledAction).
 func (r *Runner) EnabledActionOf(p int) int32 { return r.acts[p] }
 
-// NextWake returns the virtual time of the earliest pending wake, or -1
-// when the queue is empty (or the runner is in external-daemon mode). The
-// serving layer fast-forwards across idle gaps with it.
-func (r *Runner) NextWake() int64 {
-	if r.q == nil {
-		return -1
-	}
-	t, ok := r.q.peek()
-	if !ok {
-		return -1
-	}
-	return t
-}
-
 // Idle reports whether the induced schedule has no effective work left at
 // any future time: the wake queue is drained and everything still enabled
 // is withheld by the gate (or nothing is enabled at all). An idle gated

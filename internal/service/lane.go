@@ -44,7 +44,7 @@ type lane struct {
 	startT   int64 // in-flight wave's root-B tick
 
 	prevPhase core.Phase
-	tick      int64 // current global tick, for the observer
+	tick      int64 // the lane's current tick, for the observer
 	rep       *Report
 	clock     func() int64 // nil = deterministic run, wall latencies omitted
 
@@ -55,19 +55,16 @@ type lane struct {
 // synchronous step per tick on sim and flat, wake-queue batches on event.
 type laneEngine interface {
 	engine.Runner
-	// advance runs the lane's schedule up to global tick t, calling observe
-	// after every committed step.
-	advance(t int64, observe func() error) error
+	// advance runs the lane's schedule up to tick t, calling the lane's
+	// observe after every committed step.
+	advance(t int64) error
 	// parked reports quiescence modulo the withheld root broadcast. The
-	// serving loop treats a parked lane as asleep until an enqueue.
+	// serving loop treats a parked lane as asleep until an enqueue: a
+	// parked lane has no pending schedule work (a parked event lane's
+	// wake queue is empty), so only an arrival can wake it.
 	parked() bool
-	// nextWake is the earliest future virtual time with pending schedule
-	// work, or -1 when there is none (the fast-forward oracle). Engines
-	// without a wake queue return -1 when parked: their only wake-up is an
-	// enqueue.
-	nextWake() int64
 	// wake re-arms the schedule after a closed→open gate transition at
-	// global tick t (the event engine's lost-wakeup cure; a no-op for the
+	// tick t (the event engine's lost-wakeup cure; a no-op for the
 	// synchronous engines, whose serving loop re-polls parked()).
 	wake(t int64)
 }
@@ -97,7 +94,7 @@ func (ln *lane) parked() bool { return ln.inflight == nil && !ln.gateOpen() && l
 // advance drives the engine to tick t with lifecycle observation.
 func (ln *lane) advance(t int64) error {
 	ln.tick = t
-	return ln.eng.advance(t, ln.observe)
+	return ln.eng.advance(t)
 }
 
 // observe translates root phase transitions into wave lifecycle events; it
@@ -221,7 +218,7 @@ type syncLane struct {
 	ln *lane
 }
 
-func (e *syncLane) advance(_ int64, observe func() error) error {
+func (e *syncLane) advance(int64) error {
 	if e.parked() {
 		return nil
 	}
@@ -232,7 +229,7 @@ func (e *syncLane) advance(_ int64, observe func() error) error {
 	if done {
 		return nil // terminal configurations park trivially
 	}
-	return observe()
+	return e.ln.observe()
 }
 
 func (e *syncLane) parked() bool {
@@ -246,33 +243,25 @@ func (e *syncLane) parked() bool {
 	return e.EnabledAction(e.ln.root) == core.ActionB
 }
 
-func (e *syncLane) nextWake() int64 {
-	if e.parked() {
-		return -1
-	}
-	return e.ln.tick + 1
-}
-
 func (e *syncLane) wake(int64) {} // the serving loop re-polls parked()
 
 // wakeRunner is the event engine's serving surface: its schedule is a
-// virtual-time wake queue the lane drains up to each global tick.
+// virtual-time wake queue the lane drains up to each tick of its loop.
 type wakeRunner interface {
 	engine.Runner
 	ServeStep(limit int64) (progressed bool, err error)
 	Idle() bool
-	NextWake() int64
 	Wake(p int, at int64) int64
 }
 
 // eventLane runs a lane on the discrete-event engine: drain every effective
-// wake batch up to the global tick.
+// wake batch up to the tick.
 type eventLane struct {
 	wakeRunner
 	ln *lane
 }
 
-func (e *eventLane) advance(t int64, observe func() error) error {
+func (e *eventLane) advance(t int64) error {
 	for {
 		progressed, err := e.ServeStep(t)
 		if err != nil {
@@ -281,12 +270,11 @@ func (e *eventLane) advance(t int64, observe func() error) error {
 		if !progressed {
 			return nil
 		}
-		if err := observe(); err != nil {
+		if err := e.ln.observe(); err != nil {
 			return err
 		}
 	}
 }
 
-func (e *eventLane) parked() bool    { return e.Idle() }
-func (e *eventLane) nextWake() int64 { return e.NextWake() }
-func (e *eventLane) wake(t int64)    { e.Wake(e.ln.root, t) }
+func (e *eventLane) parked() bool { return e.Idle() }
+func (e *eventLane) wake(t int64) { e.Wake(e.ln.root, t) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sort"
 
 	"snappif/internal/telemetry"
 )
@@ -28,9 +29,10 @@ type Wave struct {
 // LatencyTicks is the wave's virtual latency.
 func (w Wave) LatencyTicks() int64 { return w.DoneT - w.EnqueueT }
 
-// Report summarizes one serving run. Waves appear in delivery order (the
-// serving loop advances lanes in index order on a shared clock, so the
-// order — like everything else here — is deterministic).
+// Report summarizes one serving run. Waves appear in delivery order:
+// ascending DoneT, lanes in index order within a tick. RunSerial's shared
+// loop records them that way; Run merges its per-lane reports into the
+// same order, so the order — like everything else here — is deterministic.
 type Report struct {
 	Engine string `json:"engine"`
 	Serial bool   `json:"serial,omitempty"`
@@ -63,6 +65,34 @@ func (r *Report) record(w Wave) {
 	if w.DoneT > r.LastDoneT {
 		r.LastDoneT = w.DoneT
 	}
+}
+
+// mergeReports joins the per-lane reports of a pipelined run into the
+// report one shared clock produces: waves in (DoneT, lane) order — the
+// shared loop advances lanes in index order within a tick, and a lane's
+// own waves keep their order — replayed through record to rebuild the
+// histograms and LastDoneT; residue and aborts summed; the makespan the
+// latest lane's.
+func mergeReports(engine string, lanes []*Report) *Report {
+	var waves []Wave
+	out := &Report{Engine: engine}
+	for _, r := range lanes {
+		waves = append(waves, r.Waves...)
+		out.Residue += r.Residue
+		out.Aborts += r.Aborts
+		out.Ticks = max(out.Ticks, r.Ticks)
+	}
+	sort.SliceStable(waves, func(i, j int) bool {
+		if waves[i].DoneT != waves[j].DoneT {
+			return waves[i].DoneT < waves[j].DoneT
+		}
+		return waves[i].Lane < waves[j].Lane
+	})
+	out.Waves = make([]Wave, 0, len(waves))
+	for _, w := range waves {
+		out.record(w)
+	}
+	return out
 }
 
 // Latencies returns every wave's virtual latency in delivery order.

@@ -16,17 +16,24 @@
 // B-action while the lane has no pending request — the engine seam's gate
 // (internal/engine: a filtering daemon on sim, the event runner's selection
 // filter on flat and its wake-queue gate on event) — and the serving loop
-// parks a lane that has quiesced down to exactly the withheld broadcast. Everything advances on one global virtual clock
-// (ticks), so a run is a pure function of (topology, engine, seed, arrival
-// stream): byte-identical across repetitions. Wall-clock
-// readings come only from the injected Options.Clock and never steer the
-// schedule.
+// parks a lane that has quiesced down to exactly the withheld broadcast.
+//
+// Time is virtual (ticks). Pipelined lanes are independent, so Run gives
+// each lane its own clock and runs the lanes on a pool of worker
+// goroutines, then merges their reports into the one a shared clock
+// produces; RunSerial's closed-loop admission couples the lanes, so they
+// share one clock. Either way a run is a pure function of (topology,
+// engine, seed, arrival stream): byte-identical across repetitions and
+// worker counts. Wall-clock readings come only from the injected
+// Options.Clock and never steer the schedule.
 package service
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 
 	"snappif/internal/engine"
 	"snappif/internal/event"
@@ -124,8 +131,8 @@ type Options struct {
 	// a Latency on them.
 	Latency event.Latency
 	// Initiators lists the lane roots — one independent protocol instance
-	// per initiator, all advancing on the shared virtual clock. Default
-	// {0}. Pipeline depth = number of initiators with queued work.
+	// per initiator. Default {0}. Pipeline depth = number of initiators
+	// with queued work.
 	Initiators []int
 	// Faults optionally names a fault injector per lane ("" or "clean"
 	// leaves the lane's start state clean); shorter than Initiators is
@@ -138,7 +145,8 @@ type Options struct {
 	MaxTicks int64
 	// Clock, when non-nil, supplies wall-clock nanosecond readings for the
 	// latency report. A nil Clock keeps the run and its report fully
-	// deterministic.
+	// deterministic. Run calls it concurrently from its lane workers, so
+	// it must be safe for concurrent use.
 	Clock func() int64
 }
 
@@ -210,23 +218,73 @@ func New(opts Options) (*Server, error) {
 }
 
 // Run serves the arrival stream open-loop and pipelined: every lane admits
-// its queued requests back-to-back, all lanes advance concurrently on the
-// virtual clock. Arrivals must be sorted by T (ascending) with T ≥ 1 and
-// valid lane/kind fields.
+// its queued requests back-to-back. In this mode a lane's evolution depends
+// only on its own arrivals, so each lane runs its own virtual-clock loop on
+// a pool of min(GOMAXPROCS, lanes) workers, and the per-lane reports merge
+// into the one the shared clock would have produced (mergeReports). Arrivals
+// must be sorted by T (ascending) with T ≥ 1 and valid lane/kind fields.
 func (s *Server) Run(arrivals []Arrival) (*Report, error) {
-	return s.serve(arrivals, false)
+	if err := s.begin(arrivals); err != nil {
+		return nil, err
+	}
+	per := make([][]Arrival, len(s.lanes))
+	for _, a := range arrivals {
+		per[a.Lane] = append(per[a.Lane], a)
+	}
+	// Longest first: the busiest lanes start before the idle ones, so no
+	// worker picks up a long lane last. Dispatch order only decides which
+	// worker runs which lane; each lane's report is the same either way.
+	order := make([]int, len(s.lanes))
+	for l := range order {
+		order[l] = l
+	}
+	sort.SliceStable(order, func(i, j int) bool { return len(per[order[i]]) > len(per[order[j]]) })
+
+	reps := make([]*Report, len(s.lanes))
+	errs := make([]error, len(s.lanes))
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(s.lanes)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for l := range next {
+				reps[l], errs[l] = s.loop(s.lanes[l:l+1], per[l], false)
+			}
+		}()
+	}
+	for _, l := range order {
+		next <- l
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err // the lowest failing lane, whichever finished first
+		}
+	}
+	return mergeReports(s.opts.Engine, reps), nil
 }
 
 // RunSerial is the closed-loop baseline: requests are admitted one at a
 // time globally, each waiting for full quiescence (wave delivered, cleaning
 // drained, every lane parked) before the next is enqueued. Arrival times
 // still lower-bound admission, so the two modes serve the same demand.
+// Admission couples the lanes, so they share one loop and one clock.
 func (s *Server) RunSerial(arrivals []Arrival) (*Report, error) {
-	return s.serve(arrivals, true)
+	if err := s.begin(arrivals); err != nil {
+		return nil, err
+	}
+	return s.loop(s.lanes, arrivals, true)
 }
 
-// checkArrivals validates order and fields.
-func (s *Server) checkArrivals(arrivals []Arrival) error {
+// begin claims the one-shot Server and validates the stream's order and
+// fields.
+func (s *Server) begin(arrivals []Arrival) error {
+	if s.used {
+		return fmt.Errorf("service: Server is one-shot; build a fresh one per run")
+	}
+	s.used = true
 	var prev int64 = 1
 	for i, a := range arrivals {
 		if a.T < prev {
@@ -245,8 +303,8 @@ func (s *Server) checkArrivals(arrivals []Arrival) error {
 
 // allParked reports whether every lane has quiesced (down to at most its
 // withheld root broadcast) with no admitted work pending.
-func (s *Server) allParked() bool {
-	for _, ln := range s.lanes {
+func allParked(lanes []*lane) bool {
+	for _, ln := range lanes {
 		if !ln.parked() {
 			return false
 		}
@@ -254,65 +312,52 @@ func (s *Server) allParked() bool {
 	return true
 }
 
-// serve is the virtual-clock loop shared by Run and RunSerial.
-func (s *Server) serve(arrivals []Arrival, serial bool) (*Report, error) {
-	if s.used {
-		return nil, fmt.Errorf("service: Server is one-shot; build a fresh one per run")
-	}
-	s.used = true
-	if err := s.checkArrivals(arrivals); err != nil {
-		return nil, err
-	}
-
+// loop is the virtual-clock serving loop, the one both modes run: it
+// advances lanes — a contiguous run of s.lanes — on one clock, injecting
+// arrivals (all addressed to those lanes) as they fall due, until every
+// lane has parked and every arrival is delivered. Run calls it once per
+// lane with that lane's arrivals; RunSerial once with every lane.
+func (s *Server) loop(lanes []*lane, arrivals []Arrival, serial bool) (*Report, error) {
 	rep := &Report{Engine: s.opts.Engine, Serial: serial}
-	for _, ln := range s.lanes {
+	for _, ln := range lanes {
 		ln.rep = rep
+	}
+	where := "" // names the lane in a single-lane loop's clock error
+	if len(lanes) == 1 {
+		where = fmt.Sprintf("lane %d: ", lanes[0].idx)
 	}
 
 	var tick int64
 	ai := 0 // next arrival to inject
 	for {
-		drained := s.allParked()
+		drained := allParked(lanes)
 		if drained && ai == len(arrivals) {
 			break // every request delivered (or none left) and all cleaning drained
 		}
 		tick++
 
-		// Fast-forward across idle gaps: with every lane parked the only
-		// future work is the next arrival or a pending event-lane wake.
-		if drained {
-			next := int64(-1)
-			if ai < len(arrivals) {
-				next = arrivals[ai].T
-			}
-			for _, ln := range s.lanes {
-				if w := ln.eng.nextWake(); w >= 0 && (next < 0 || w < next) {
-					next = w
-				}
-			}
-			if next < 0 {
-				break // nothing will ever happen again
-			}
-			if next > tick {
-				tick = next
-			}
+		// Fast-forward across idle gaps: a parked lane has no pending
+		// schedule work, so with every lane parked the next arrival is the
+		// only future event.
+		if drained && arrivals[ai].T > tick {
+			tick = arrivals[ai].T
 		}
 		if tick > s.opts.MaxTicks {
-			return nil, fmt.Errorf("service: virtual clock exceeded MaxTicks=%d with %d/%d arrivals injected, %d waves delivered",
-				s.opts.MaxTicks, ai, len(arrivals), len(rep.Waves))
+			return nil, fmt.Errorf("service: %svirtual clock exceeded MaxTicks=%d with %d/%d arrivals injected, %d waves delivered",
+				where, s.opts.MaxTicks, ai, len(arrivals), len(rep.Waves))
 		}
 
 		// Inject due arrivals. Pipelined mode admits every arrival with
 		// T ≤ tick; serial mode admits the next arrival only once the
 		// system is fully drained (one wave in flight, globally).
 		for ai < len(arrivals) && arrivals[ai].T <= tick {
-			if serial && !s.allParked() {
+			if serial && !allParked(lanes) {
 				break
 			}
 			a := arrivals[ai]
 			ai++
-			k, _ := ParseKind(a.Kind) // validated above
-			s.lanes[a.Lane].enqueue(k, a.T, s.now(), tick)
+			k, _ := ParseKind(a.Kind) // validated by begin
+			lanes[a.Lane-lanes[0].idx].enqueue(k, a.T, s.now(), tick)
 			if serial {
 				break // at most one admitted request in the system
 			}
@@ -320,7 +365,7 @@ func (s *Server) serve(arrivals []Arrival, serial bool) (*Report, error) {
 
 		// Advance every lane to the tick: sim and flat lanes take one
 		// synchronous step, the event lane drains its wake batches ≤ tick.
-		for _, ln := range s.lanes {
+		for _, ln := range lanes {
 			if err := ln.advance(tick); err != nil {
 				return nil, fmt.Errorf("service: lane %d: %w", ln.idx, err)
 			}

@@ -5,7 +5,8 @@
 #   CI_FUZZ=1 sh scripts/ci.sh     # additionally smoke-fuzz the engine oracles
 #   CI_EXPLORE=1 sh scripts/ci.sh  # additionally smoke the exhaustive explorer
 #   CI_SERVICE=1 sh scripts/ci.sh  # additionally gate the pifserve bench grid
-#                                  # (pinned small cell + byte-determinism)
+#                                  # (pinned small cell + byte-determinism) and
+#                                  # the lane-parallel golden's perfbench cells
 #   CI_OVERHEAD=1 sh scripts/ci.sh # additionally gate telemetry overhead (timing-
 #                                  # sensitive; needs a quiet box)
 set -eu
@@ -102,8 +103,10 @@ go test -race ./internal/hunt/
 echo "== race: telemetry (concurrent engine writers + registry readers) =="
 go test -race ./internal/telemetry/
 
-echo "== race: service (open-loop generator + pipelined waves) =="
-go test -race ./internal/service/ ./cmd/pifserve/
+echo "== race: service (open-loop generator + pipelined waves on the lane pool) =="
+# -cpu 2,4 runs the lane pool with real worker goroutines under -race even
+# on a 1-CPU runner.
+go test -race -cpu 2,4 ./internal/service/ ./cmd/pifserve/
 
 echo "== race: soak (reduced horizon) =="
 go test -race -short -run TestSoakManyWaves -count=1 .
@@ -118,6 +121,7 @@ go test ./internal/flat/ -run 'TestFlatZeroAllocsPerStep|TestFlatCopyFromZeroAll
 go test ./internal/event/ -run TestEventZeroAllocsPerStep -count=1 -v
 go test ./internal/engine/ -run TestEngineZeroAllocsPerStep -count=1 -v
 go test ./internal/telemetry/ -run 'TestDisabledAllocs|TestEnabledSteadyStateAllocs' -count=1 -v
+go test ./internal/service/ -run TestServeTickZeroAllocs -count=1 -v
 
 echo "== determinism (serial vs parallel, optimized vs reference) =="
 go test ./internal/sim/ -run TestRunnerMatchesReference -count=1
@@ -132,8 +136,8 @@ go test ./cmd/pifexp/ -run TestRunFlatEngineIdenticalStdout -count=1
 echo "== determinism (event engine: three-way differential, latency repeatability) =="
 go test ./internal/event/ -run 'TestEventMatchesThreeWay|TestEventTraceByteIdentical|TestEventRunDeterministic|TestEventLatencyMatchesInducedDaemon' -count=1
 
-echo "== determinism + pipelining (service: pipelined == serial payloads, served sim == flat reports, canonical bytes stable) =="
-go test ./internal/service/ -run 'TestPipelinedMatchesSerial|TestServedSimMatchesFlat|TestServiceDeterminism|TestScenarioDumpReplayBitIdentical' -count=1
+echo "== determinism + pipelining (service: pipelined == serial payloads, served sim == flat reports, canonical bytes stable at any worker count) =="
+go test ./internal/service/ -run 'TestPipelinedMatchesSerial|TestServedSimMatchesFlat|TestServiceDeterminism|TestScenarioDumpReplayBitIdentical|TestPipelinedLaneParallelByteIdentical|TestPipelinedLaneErrorLowestLane' -cpu 1,2,4 -count=1
 go test . -run TestMultiInitiatorCrossEngine -count=1
 
 echo "== trace round trip (pifsim step trace must pass the offline replay check) =="
@@ -153,6 +157,8 @@ fi
 if [ "${CI_SERVICE:-0}" = "1" ]; then
     echo "== service bench smoke (quick grid: pinned flat/ring:64 cell, byte-determinism) =="
     CI_SERVICE=1 go test ./cmd/pifserve/ -run TestServiceBenchSmoke -count=1 -v
+    echo "== lane-parallel golden (perfbench-shaped cells: ring:1000 flat, grid:32x32 event) =="
+    CI_SERVICE=1 go test ./internal/service/ -run TestPipelinedLaneParallelByteIdentical -count=1 -v
 fi
 
 if [ "${CI_OVERHEAD:-0}" = "1" ]; then
