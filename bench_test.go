@@ -432,12 +432,15 @@ func BenchmarkE11MessagePassing(b *testing.B) {
 }
 
 // BenchmarkModelChecker measures the exhaustive checker's throughput on the
-// smallest instance (the full 373k-configuration product on a 3-line).
+// smallest instance (the full 373k-configuration product on a 3-line):
+// allocations per run and explored transitions per second.
 func BenchmarkModelChecker(b *testing.B) {
 	g, err := graph.Line(3)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	transitions := 0
 	for i := 0; i < b.N; i++ {
 		m, err := mc.NewSnapModel(g, 0)
 		if err != nil {
@@ -451,7 +454,9 @@ func BenchmarkModelChecker(b *testing.B) {
 			b.Fatal("verification failed")
 		}
 		b.ReportMetric(float64(res.States), "states")
+		transitions += res.Transitions
 	}
+	b.ReportMetric(float64(transitions)/b.Elapsed().Seconds(), "transitions/s")
 }
 
 // BenchmarkConcurrentRuntime measures goroutine-per-processor waves.

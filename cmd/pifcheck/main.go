@@ -49,6 +49,12 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *seeds < 1 {
+		return fmt.Errorf("-seeds must be at least 1, got %d", *seeds)
+	}
+	if *limit < 0 {
+		return fmt.Errorf("-limit must be 0 (unlimited) or positive, got %d", *limit)
+	}
 
 	g, err := buildTopo(*topoN, *n)
 	if err != nil {
@@ -77,9 +83,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	checker := mc.New(model, power)
-	if *limit > 0 {
-		checker.SetLimit(*limit)
-	}
+	checker.SetLimit(*limit)
 	//snapvet:ok harness wall-clock for the human progress report; never feeds checker state
 	start := time.Now()
 	var res mc.Result

@@ -35,6 +35,8 @@ package mc
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"snappif/internal/graph"
 	"snappif/internal/sim"
@@ -159,98 +161,83 @@ func (r Result) OK() bool {
 }
 
 // Checker explores the product of a protocol state space and the
-// specification monitor.
+// specification monitor. A state is n interned box IDs plus a 64-bit
+// monitor word, deduplicated by an open-addressing table; states are
+// expanded in ID (BFS) order, so the transitions form a forward CSR.
 type Checker struct {
-	m     Model
-	comp  Composite
-	k     int
-	roots []int
-	power DaemonPower
+	m       Model
+	comp    Composite
+	proto   sim.Protocol
+	inPlace sim.InPlaceProtocol // proto, when it can apply into spare
+	n, k    int
+	roots   []int
+	power   DaemonPower
+	limit   int
 
-	index map[string]int32
-	stash []*state
-	preds [][]int32
-	first []int32 // first predecessor (-1 for initial states): trace spine
-	sbn   []bool
-	limit int
+	boxes []sim.State      // interned boxes by box ID
+	boxID map[string]int32 // Model.Key → box ID
 
-	queue []int32
+	ids   []int32  // state s's box IDs are ids[s*n : (s+1)*n]
+	mons  []uint64 // state s's monitor word (fedBit, cycleBit)
+	first []int32  // first predecessor (-1 for initial states): trace spine
+	table []int32  // open addressing over (box IDs, monitor): state ID + 1, 0 empty
+
+	out  []int32 // state s's successors are succ[out[s]:out[s+1]]
+	succ []int32
+
+	// Scratch reused by every expansion.
+	cfg     *sim.Configuration // the state being expanded, as boxes
+	cur     []int32            // its box IDs
+	next    []int32            // box IDs of the successor being built
+	enabled []sim.Choice
+	spare   sim.State // inPlace's scratch box; internBox copies it
+	key     []byte
 }
 
 // New builds a checker for the given model (plain or Composite).
 func New(m Model, power DaemonPower) *Checker {
 	comp := asComposite(m)
 	k := comp.Instances()
+	g := m.Graph()
+	n := g.N()
 	roots := make([]int, k)
 	for i := range roots {
 		roots[i] = comp.InstanceRoot(i)
 	}
-	return &Checker{m: m, comp: comp, k: k, roots: roots, power: power, index: make(map[string]int32)}
+	c := &Checker{
+		m: m, comp: comp, proto: m.Proto(), n: n, k: k, roots: roots, power: power,
+		boxID: make(map[string]int32),
+		cfg:   &sim.Configuration{G: g, States: make([]sim.State, n)},
+		cur:   make([]int32, n),
+		next:  make([]int32, n),
+	}
+	if c.inPlace, _ = c.proto.(sim.InPlaceProtocol); c.inPlace != nil {
+		c.spare = c.proto.InitialState(0)
+	}
+	return c
 }
 
-// state is one node of the product transition system. The monitor keeps
-// one broadcast window per composed instance (k = 1 for plain models).
-type state struct {
-	cfg *sim.Configuration
-	// inCycle[i] reports whether instance i's broadcast window is open.
-	inCycle []bool
-	// fed[i][p] marks p's acknowledgment for instance i's current wave.
-	fed [][]bool
-}
-
-// newState allocates the monitor fields for k instances over n processors.
-func newState(cfg *sim.Configuration, k int) *state {
-	st := &state{cfg: cfg, inCycle: make([]bool, k), fed: make([][]bool, k)}
-	for i := range st.fed {
-		st.fed[i] = make([]bool, cfg.N())
-	}
-	return st
-}
-
-// clone deep-copies the state.
-func (s *state) clone() *state {
-	fed := make([][]bool, len(s.fed))
-	for i := range fed {
-		fed[i] = append([]bool(nil), s.fed[i]...)
-	}
-	return &state{
-		cfg:     s.cfg.Clone(),
-		inCycle: append([]bool(nil), s.inCycle...),
-		fed:     fed,
-	}
-}
-
-// key renders the state canonically for interning.
-func (c *Checker) key(s *state) string {
-	b := make([]byte, 0, (8+c.k)*len(s.cfg.States)+c.k)
-	for p := range s.cfg.States {
-		b = c.m.Key(b, s.cfg.States[p])
-		for i := 0; i < c.k; i++ {
-			b = append(b, boolByte(s.fed[i][p]))
-		}
-	}
-	for i := 0; i < c.k; i++ {
-		b = append(b, boolByte(s.inCycle[i]))
-	}
-	return string(b)
-}
+// fedBit is the monitor bit marking p's acknowledgment of instance i's
+// current wave; cycleBit marks instance i's broadcast window open.
+func (c *Checker) fedBit(i, p int) uint64 { return 1 << uint(i*(c.n+1)+p) }
+func (c *Checker) cycleBit(i int) uint64  { return 1 << uint(i*(c.n+1)+c.n) }
 
 // render is a human-readable form for counterexample traces.
-func (c *Checker) render(s *state) string {
+func (c *Checker) render(ids []int32, mon uint64) string {
 	out := ""
-	for p := range s.cfg.States {
+	for p, b := range ids {
 		if p > 0 {
 			out += " "
 		}
-		out += c.m.Render(p, s.cfg.States[p])
+		out += c.m.Render(p, c.boxes[b])
 		for i := 0; i < c.k; i++ {
-			if s.fed[i][p] {
+			if mon&c.fedBit(i, p) != 0 {
 				out += "*"
 			}
 		}
 	}
 	for i := 0; i < c.k; i++ {
-		if s.inCycle[i] {
+		if mon&c.cycleBit(i) != 0 {
 			out += fmt.Sprintf(" [cycle %d open]", i)
 		}
 	}
@@ -264,131 +251,213 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// Limit, when set on a Checker, bounds the number of interned states; an
-// exploration that exceeds it returns an error instead of exhausting
-// memory.
+// SetLimit bounds the number of interned states: the first state past the
+// limit fails the exploration with an error instead of exhausting memory.
+// 0 means unlimited.
 func (c *Checker) SetLimit(states int) { c.limit = states }
 
 // Run enumerates the full domain product as the initial state set, then
 // explores and checks all properties.
-func (c *Checker) Run() (Result, error) {
-	var res Result
-	c.seed(&res)
-	return c.explore(res)
-}
+func (c *Checker) Run() (Result, error) { return c.run(c.seed) }
 
 // RunFrom explores only from the given initial configurations — systematic
 // full-schedule checking from chosen corruptions, usable on instances whose
 // full domain product is out of reach. The monitor starts outside any cycle
 // window and all fed-marks cleared, exactly as in Run.
 func (c *Checker) RunFrom(configs []*sim.Configuration) (Result, error) {
-	var res Result
-	for _, cfg := range configs {
-		st := newState(cfg.Clone(), c.k)
-		// Normalize the message abstraction: "1" is reserved for the live
-		// broadcast, so stale payloads map to 0 ("does not carry the
-		// current message").
-		for p := range st.cfg.States {
-			for i := 0; i < c.k; i++ {
-				if c.comp.MsgAt(st.cfg.States[p], i) != 0 {
-					st.cfg.States[p] = c.comp.WithMsgAt(st.cfg.States[p], i, 0)
+	return c.run(func(res *Result) error {
+		if len(configs) == 0 {
+			return fmt.Errorf("mc: no initial states")
+		}
+		for _, cfg := range configs {
+			for p, s := range cfg.States {
+				// Normalize the message abstraction: "1" is reserved for
+				// the live broadcast, so stale payloads map to 0 ("does
+				// not carry the current message").
+				for i := 0; i < c.k; i++ {
+					s = c.comp.WithMsgAt(s, i, 0)
 				}
+				c.cur[p] = c.internBox(s)
+			}
+			res.InitialStates++
+			if _, err := c.intern(c.cur, 0, -1); err != nil {
+				return err
 			}
 		}
-		res.InitialStates++
-		c.intern(st)
+		return nil
+	})
+}
+
+// run checks that the monitor fits its word (k·(n+1) bits for k instances
+// over n processors), interns the initial states with seed, and explores.
+func (c *Checker) run(seed func(*Result) error) (Result, error) {
+	var res Result
+	if w := c.k * (c.n + 1); w > 64 {
+		return res, fmt.Errorf("mc: the monitor needs %d bits (%d instances × %d), more than 64", w, c.k, c.n+1)
+	}
+	if err := seed(&res); err != nil {
+		return res, err
 	}
 	return c.explore(res)
 }
 
-// explore drains the queue and runs the liveness pass.
+// explore expands every state in ID (BFS) order and runs the liveness pass.
 func (c *Checker) explore(res Result) (Result, error) {
-	for len(c.queue) > 0 {
-		if c.limit > 0 && len(c.stash) > c.limit {
-			return res, fmt.Errorf("mc: state limit %d exceeded", c.limit)
-		}
-		id := c.queue[0]
-		c.queue = c.queue[1:]
-		if done := c.expand(id, c.stash[id], &res); done {
-			res.States = len(c.stash)
-			return res, nil
+	for id := 0; id < len(c.mons); id++ {
+		if done, err := c.expand(int32(id), &res); err != nil || done {
+			res.States, res.Transitions = len(c.mons), len(c.succ)
+			return res, err
 		}
 	}
-	res.States = len(c.stash)
-
-	// Liveness: every state must reach an all-clean (SBN) state.
-	reaches := make([]bool, len(c.stash))
-	var q []int32
-	for id := range c.stash {
-		if c.sbn[id] {
-			reaches[id] = true
-			q = append(q, int32(id))
-		}
-	}
-	for len(q) > 0 {
-		id := q[0]
-		q = q[1:]
-		for _, pred := range c.preds[id] {
-			if !reaches[pred] {
-				reaches[pred] = true
-				q = append(q, pred)
-			}
-		}
-	}
-	for id := range c.stash {
-		if !reaches[id] {
-			res.LivenessViolation = append(c.traceTo(int32(id)),
-				"LIVENESS: no all-clean configuration reachable from here")
-			return res, nil
-		}
+	c.out = append(c.out, int32(len(c.succ)))
+	res.States, res.Transitions = len(c.mons), len(c.succ)
+	if id := c.unlive(); id >= 0 {
+		res.LivenessViolation = append(c.traceTo(id),
+			"LIVENESS: no all-clean configuration reachable from here")
 	}
 	return res, nil
 }
 
+// unlive returns the lowest state ID from which no all-clean (SBN) state is
+// reachable, or -1 when every state reaches one. It reverses the forward
+// CSR into a predecessor CSR and searches backwards from the all-clean
+// states.
+func (c *Checker) unlive() int32 {
+	ns := len(c.mons)
+	off := make([]int32, ns+1) // t's predecessors are preds[off[t]:off[t+1]]
+	for _, t := range c.succ {
+		off[t]++
+	}
+	for s := 1; s <= ns; s++ {
+		off[s] += off[s-1] // off[t] is the end of t's segment
+	}
+	preds := make([]int32, len(c.succ))
+	for s := 0; s < ns; s++ {
+		for _, t := range c.succ[c.out[s]:c.out[s+1]] {
+			off[t]-- // filling backwards leaves off[t] at the segment's start
+			preds[off[t]] = int32(s)
+		}
+	}
+	reaches := make([]bool, ns)
+	queue := make([]int32, 0, ns)
+	for s := 0; s < ns; s++ {
+		if c.allClean(int32(s)) {
+			reaches[s] = true
+			queue = append(queue, int32(s))
+		}
+	}
+	for i := 0; i < len(queue); i++ {
+		t := queue[i]
+		for _, s := range preds[off[t]:off[t+1]] {
+			if !reaches[s] {
+				reaches[s] = true
+				queue = append(queue, s)
+			}
+		}
+	}
+	for s, ok := range reaches {
+		if !ok {
+			return int32(s)
+		}
+	}
+	return -1
+}
+
 // seed enumerates every initial configuration over the full variable
 // domains and interns them.
-func (c *Checker) seed(res *Result) {
-	g := c.m.Graph()
-	n := g.N()
-	cur := newState(&sim.Configuration{G: g, States: make([]sim.State, n)}, c.k)
-	domains := make([][]sim.State, n)
-	for p := 0; p < n; p++ {
-		domains[p] = c.m.Domain(p)
+func (c *Checker) seed(res *Result) error {
+	domains := make([][]int32, c.n)
+	for p := range domains {
+		for _, s := range c.m.Domain(p) {
+			domains[p] = append(domains[p], c.internBox(s))
+		}
 	}
-	var rec func(p int)
-	rec = func(p int) {
-		if p == n {
+	var rec func(p int) error
+	rec = func(p int) error {
+		if p == c.n {
 			res.InitialStates++
-			c.intern(cur)
-			return
+			_, err := c.intern(c.cur, 0, -1)
+			return err
 		}
-		for _, s := range domains[p] {
-			cur.cfg.States[p] = s
-			rec(p + 1)
+		for _, b := range domains[p] {
+			c.cur[p] = b
+			if err := rec(p + 1); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	rec(0)
+	return rec(0)
 }
 
-// intern registers a state if new and returns its ID; from records the
-// discovering predecessor (-1 for initial states).
-func (c *Checker) intern(s *state) int32 {
-	return c.internFrom(s, -1)
-}
-
-func (c *Checker) internFrom(s *state, from int32) int32 {
-	k := c.key(s)
-	if id, ok := c.index[k]; ok {
+// internBox returns the ID of the box with s's key, interning a copy of s
+// if the key is new. The lookup allocates nothing.
+func (c *Checker) internBox(s sim.State) int32 {
+	c.key = c.m.Key(c.key[:0], s)
+	if id, ok := c.boxID[string(c.key)]; ok {
 		return id
 	}
-	id := int32(len(c.stash))
-	c.index[k] = id
-	c.stash = append(c.stash, s.clone())
-	c.preds = append(c.preds, nil)
-	c.first = append(c.first, from)
-	c.sbn = append(c.sbn, false)
-	c.queue = append(c.queue, id)
+	id := int32(len(c.boxes))
+	c.boxID[string(c.key)] = id
+	c.boxes = append(c.boxes, s.Clone())
 	return id
+}
+
+// intern returns the ID of state (ids, mon), registering it if new; from
+// records the discovering predecessor (-1 for initial states). A new state
+// past the limit is an error.
+func (c *Checker) intern(ids []int32, mon uint64, from int32) (int32, error) {
+	if 2*len(c.mons) >= len(c.table) {
+		c.grow()
+	}
+	i := c.probe(ids, mon)
+	if c.table[i] != 0 {
+		return c.table[i] - 1, nil
+	}
+	if c.limit > 0 && len(c.mons) >= c.limit {
+		return -1, fmt.Errorf("mc: state limit %d exceeded", c.limit)
+	}
+	id := int32(len(c.mons))
+	c.table[i] = id + 1
+	c.ids = append(c.ids, ids...)
+	c.mons = append(c.mons, mon)
+	c.first = append(c.first, from)
+	return id, nil
+}
+
+// probe returns the table slot holding state (ids, mon), or the empty slot
+// where it belongs.
+func (c *Checker) probe(ids []int32, mon uint64) uint64 {
+	mask := uint64(len(c.table) - 1)
+	i := hashState(ids, mon) & mask
+	for ; c.table[i] != 0; i = (i + 1) & mask {
+		s := c.table[i] - 1
+		if c.mons[s] == mon && slices.Equal(c.boxesOf(s), ids) {
+			break
+		}
+	}
+	return i
+}
+
+// grow doubles the visited table (keeping its load at most one half) and
+// reinserts every state.
+func (c *Checker) grow() {
+	c.table = make([]int32, max(2*len(c.table), 1024))
+	for s := range c.mons {
+		c.table[c.probe(c.boxesOf(int32(s)), c.mons[s])] = int32(s + 1)
+	}
+}
+
+// boxesOf returns state s's box IDs.
+func (c *Checker) boxesOf(s int32) []int32 { return c.ids[int(s)*c.n : int(s+1)*c.n] }
+
+// hashState mixes a state's box IDs and monitor word into a table hash.
+func hashState(ids []int32, mon uint64) uint64 {
+	h := mon
+	for _, id := range ids {
+		h = (h ^ uint64(uint32(id))) * 0x9e3779b97f4a7c15
+	}
+	return h ^ h>>32
 }
 
 // traceTo reconstructs the discovery path from an initial state to id,
@@ -400,17 +469,14 @@ func (c *Checker) traceTo(id int32) []string {
 	for cur := id; cur >= 0; cur = c.first[cur] {
 		ids = append(ids, cur)
 	}
-	// ids is target…initial; reverse into execution order.
-	for i, j := 0, len(ids)-1; i < j; i, j = i+1, j-1 {
-		ids[i], ids[j] = ids[j], ids[i]
-	}
+	slices.Reverse(ids) // target…initial into execution order
 	var out []string
 	if len(ids) > maxTraceStates {
 		out = append(out, fmt.Sprintf("… (%d earlier states)", len(ids)-maxTraceStates))
 		ids = ids[len(ids)-maxTraceStates:]
 	}
-	for i, sid := range ids {
-		out = append(out, fmt.Sprintf("%3d: %s", i, c.render(c.stash[sid])))
+	for i, s := range ids {
+		out = append(out, fmt.Sprintf("%3d: %s", i, c.render(c.boxesOf(s), c.mons[s])))
 	}
 	return out
 }
@@ -436,89 +502,88 @@ type StateInvariant interface {
 
 // expand generates all successors of a state and checks safety on each
 // transition. It returns true when a violation ends the exploration.
-func (c *Checker) expand(id int32, st *state, res *Result) bool {
-	enabled := sim.EnabledChoices(st.cfg, c.m.Proto())
-	c.sbn[id] = c.allClean(st.cfg)
-	if len(enabled) == 0 {
+func (c *Checker) expand(id int32, res *Result) (bool, error) {
+	c.out = append(c.out, int32(len(c.succ)))
+	copy(c.cur, c.boxesOf(id))
+	mon := c.mons[id]
+	for p, b := range c.cur {
+		c.cfg.States[p] = c.boxes[b]
+	}
+	c.enabled = sim.AppendEnabledChoices(c.enabled[:0], c.cfg, c.proto)
+	if len(c.enabled) == 0 {
 		res.Deadlock = append(c.traceTo(id), "DEADLOCK: no processor enabled")
-		return true
+		return true, nil
 	}
 	if si, ok := c.m.(StateInvariant); ok {
-		if err := si.Invariant(st.cfg); err != nil {
+		if err := si.Invariant(c.cfg); err != nil {
 			res.SafetyViolation = append(c.traceTo(id),
 				fmt.Sprintf("INVARIANT violated: %v", err))
-			return true
+			return true, nil
 		}
 	}
 	if eg, ok := c.m.(ExclusiveGuards); ok && eg.GuardsAreExclusive() {
-		perProc := make(map[[2]int]int, len(enabled))
-		for _, ch := range enabled {
-			key := [2]int{ch.Proc, c.comp.InstanceOf(ch.Action)}
-			perProc[key]++
-			if perProc[key] > 1 {
+		var seen uint64 // bit p·k+i: p has an enabled action of instance i
+		for _, ch := range c.enabled {
+			bit := uint64(1) << uint(ch.Proc*c.k+c.comp.InstanceOf(ch.Action))
+			if seen&bit != 0 {
 				res.SafetyViolation = append(c.traceTo(id),
-					fmt.Sprintf("GUARD EXCLUSIVITY violated: p%d has %d enabled actions in one instance",
-						ch.Proc, perProc[key]))
-				return true
+					fmt.Sprintf("GUARD EXCLUSIVITY violated: p%d has 2 enabled actions in one instance", ch.Proc))
+				return true, nil
 			}
+			seen |= bit
 		}
 	}
-	for _, sel := range c.subsets(enabled) {
-		next, violation := c.apply(st, sel)
+	if len(c.enabled) > 63 {
+		return false, fmt.Errorf("mc: %d enabled choices in one state; a selection mask holds 63", len(c.enabled))
+	}
+	// A selection is a bitmask over c.enabled: the central daemon selects
+	// each single choice, the distributed daemon every non-empty subset.
+	last := uint64(1)<<len(c.enabled) - 1
+	for sel := uint64(1); sel <= last; {
+		next, violation := c.apply(mon, sel)
 		if violation != "" {
 			res.SafetyViolation = append(c.traceTo(id), violation)
-			return true
+			return true, nil
 		}
-		nid := c.internFrom(next, id)
-		c.preds[nid] = append(c.preds[nid], id)
-		res.Transitions++
+		nid, err := c.intern(c.next, next, id)
+		if err != nil {
+			return false, err
+		}
+		c.succ = append(c.succ, nid)
+		if c.power == CentralPower {
+			sel <<= 1
+		} else {
+			sel++
+		}
 	}
-	return false
+	return false, nil
 }
 
-// subsets returns the daemon selections to explore.
-func (c *Checker) subsets(enabled []sim.Choice) [][]sim.Choice {
-	if c.power == CentralPower {
-		out := make([][]sim.Choice, len(enabled))
-		for i, ch := range enabled {
-			out[i] = []sim.Choice{ch}
-		}
-		return out
-	}
-	var out [][]sim.Choice
-	total := 1 << len(enabled)
-	for mask := 1; mask < total; mask++ {
-		var sel []sim.Choice
-		for i, ch := range enabled {
-			if mask&(1<<i) != 0 {
-				sel = append(sel, ch)
-			}
-		}
-		out = append(out, sel)
-	}
-	return out
-}
-
-// apply executes one daemon selection with composite atomicity and updates
-// the specification monitor, returning the successor and a safety-violation
-// description ("" if fine).
-func (c *Checker) apply(st *state, sel []sim.Choice) (*state, string) {
-	proto := c.m.Proto()
-	next := st.clone()
-	newStates := make([]sim.State, len(sel))
-	for i, ch := range sel {
-		newStates[i] = proto.Apply(st.cfg, ch.Proc, ch.Action)
-	}
-	rootBroadcast := make([]bool, c.k)
+// apply executes the daemon selection sel (a bitmask over c.enabled) with
+// composite atomicity from the state in c.cfg/c.cur with monitor mon. It
+// builds the successor's box IDs in c.next and returns its monitor and a
+// safety-violation description ("" if fine).
+func (c *Checker) apply(mon, sel uint64) (uint64, string) {
+	copy(c.next, c.cur)
+	next := mon
+	var rootBroadcast uint64 // bit i: instance i's root opened a wave
 	var violation string
-	for i, ch := range sel {
-		ns := newStates[i]
+	for m := sel; m != 0; m &= m - 1 {
+		ch := c.enabled[bits.TrailingZeros64(m)]
+		// Every mover reads the pre-step configuration c.cfg, which
+		// nothing here writes: composite atomicity.
+		ns := c.spare
+		if c.inPlace != nil {
+			c.inPlace.ApplyInto(c.cfg, ch.Proc, ch.Action, ns)
+		} else {
+			ns = c.proto.Apply(c.cfg, ch.Proc, ch.Action)
+		}
 		inst := c.comp.InstanceOf(ch.Action)
 		root := c.roots[inst]
 		switch c.m.Kind(ch.Proc, ch.Action) {
 		case KindBroadcast:
 			if ch.Proc == root {
-				rootBroadcast[inst] = true
+				rootBroadcast |= 1 << uint(inst)
 				ns = c.comp.WithMsgAt(ns, inst, 1)
 			}
 			// Non-root B-actions copied the parent's message bit via
@@ -526,27 +591,25 @@ func (c *Checker) apply(st *state, sel []sim.Choice) (*state, string) {
 			// shared-memory semantics.
 		case KindFeedback:
 			if ch.Proc == root {
-				if next.inCycle[inst] {
-					if v := c.checkDelivery(inst, st, sel); v != "" && violation == "" {
+				if next&c.cycleBit(inst) != 0 {
+					if v := c.checkDelivery(inst, mon, sel); v != "" && violation == "" {
 						violation = v
 					}
-					next.inCycle[inst] = false
+					next &^= c.cycleBit(inst)
 				}
 			} else if c.comp.MsgAt(ns, inst) == 1 {
-				next.fed[inst][ch.Proc] = true
+				next |= c.fedBit(inst, ch.Proc)
 			}
 		}
-		next.cfg.States[ch.Proc] = ns
+		c.next[ch.Proc] = c.internBox(ns)
 	}
-	for inst, fired := range rootBroadcast {
-		if !fired {
-			continue
-		}
-		next.inCycle[inst] = true
-		for p := range next.fed[inst] {
-			next.fed[inst][p] = false
-			if p != c.roots[inst] {
-				next.cfg.States[p] = c.comp.WithMsgAt(next.cfg.States[p], inst, 0)
+	for m := rootBroadcast; m != 0; m &= m - 1 {
+		inst := bits.TrailingZeros64(m)
+		next |= c.cycleBit(inst)
+		for p := 0; p < c.n; p++ {
+			next &^= c.fedBit(inst, p)
+			if b := c.boxes[c.next[p]]; p != c.roots[inst] && c.comp.MsgAt(b, inst) != 0 {
+				c.next[p] = c.internBox(c.comp.WithMsgAt(b, inst, 0))
 			}
 		}
 	}
@@ -554,38 +617,39 @@ func (c *Checker) apply(st *state, sel []sim.Choice) (*state, string) {
 }
 
 // checkDelivery evaluates [PIF1]/[PIF2] at a root F-action: in the pre-step
-// configuration every non-root processor must hold the current message and
-// have fed back (or be feeding back in this very step).
-func (c *Checker) checkDelivery(inst int, st *state, sel []sim.Choice) string {
+// configuration (c.cfg, monitor mon) every non-root processor must hold the
+// current message and have fed back (or be feeding back in this very step).
+func (c *Checker) checkDelivery(inst int, mon, sel uint64) string {
 	root := c.roots[inst]
-	feedingNow := make(map[int]bool, len(sel))
-	for _, ch := range sel {
+	var feedingNow uint64 // bit p: p feeds back instance inst in this step
+	for m := sel; m != 0; m &= m - 1 {
+		ch := c.enabled[bits.TrailingZeros64(m)]
 		if ch.Proc != root && c.comp.InstanceOf(ch.Action) == inst &&
-			c.m.Kind(ch.Proc, ch.Action) == KindFeedback {
-			if c.comp.MsgAt(st.cfg.States[ch.Proc], inst) == 1 {
-				feedingNow[ch.Proc] = true
-			}
+			c.m.Kind(ch.Proc, ch.Action) == KindFeedback &&
+			c.comp.MsgAt(c.cfg.States[ch.Proc], inst) == 1 {
+			feedingNow |= 1 << uint(ch.Proc)
 		}
 	}
-	for p := 0; p < c.m.Graph().N(); p++ {
+	for p := 0; p < c.n; p++ {
 		if p == root {
 			continue
 		}
-		if c.comp.MsgAt(st.cfg.States[p], inst) != 1 {
+		if c.comp.MsgAt(c.cfg.States[p], inst) != 1 {
 			return fmt.Sprintf("PIF1 violated: instance %d, p%d never received the broadcast (%s)",
-				inst, p, c.render(st))
+				inst, p, c.render(c.cur, mon))
 		}
-		if !st.fed[inst][p] && !feedingNow[p] {
+		if mon&c.fedBit(inst, p) == 0 && feedingNow&(1<<uint(p)) == 0 {
 			return fmt.Sprintf("PIF2 violated: instance %d, p%d never acknowledged (%s)",
-				inst, p, c.render(st))
+				inst, p, c.render(c.cur, mon))
 		}
 	}
 	return ""
 }
 
-func (c *Checker) allClean(cfg *sim.Configuration) bool {
-	for p := range cfg.States {
-		if !c.m.Clean(cfg.States[p]) {
+// allClean reports whether every box of state s is in the clean phase.
+func (c *Checker) allClean(s int32) bool {
+	for _, b := range c.boxesOf(s) {
+		if !c.m.Clean(c.boxes[b]) {
 			return false
 		}
 	}

@@ -47,15 +47,7 @@ func (m *SnapModel) Root() int { return m.pr.Root }
 // Domain implements Model: the full product of Pif × Par × L × Count ×
 // Fok × message-bit.
 func (m *SnapModel) Domain(p int) []sim.State {
-	parents := []int{core.ParNone}
-	levels := []int{0}
-	if p != m.pr.Root {
-		parents = m.g.Neighbors(p)
-		levels = nil
-		for l := 1; l <= m.pr.Lmax; l++ {
-			levels = append(levels, l)
-		}
-	}
+	parents, levels := parLevels(m.g, m.pr.Root, m.pr.Lmax, p, core.ParNone)
 	var out []sim.State
 	for _, pif := range []core.Phase{core.B, core.F, core.C} {
 		for _, par := range parents {
@@ -76,16 +68,31 @@ func (m *SnapModel) Domain(p int) []sim.State {
 	return out
 }
 
-// Kind implements Model.
-func (m *SnapModel) Kind(_, a int) ActionKind {
-	switch a {
-	case core.ActionB:
-		return KindBroadcast
-	case core.ActionF:
-		return KindFeedback
-	default:
-		return KindOther
+// parLevels returns p's Par and L domains: {none} and {0} at the root, the
+// neighbors and [1, lmax] elsewhere.
+func parLevels(g *graph.Graph, root, lmax, p, none int) (parents, levels []int) {
+	if p == root {
+		return []int{none}, []int{0}
 	}
+	for l := 1; l <= lmax; l++ {
+		levels = append(levels, l)
+	}
+	return g.Neighbors(p), levels
+}
+
+// Kind implements Model.
+func (m *SnapModel) Kind(_, a int) ActionKind { return kindOf(a, core.ActionB, core.ActionF) }
+
+// kindOf classifies action a of a protocol whose B- and F-actions are
+// actionB and actionF.
+func kindOf(a, actionB, actionF int) ActionKind {
+	switch a {
+	case actionB:
+		return KindBroadcast
+	case actionF:
+		return KindFeedback
+	}
+	return KindOther
 }
 
 // Msg implements Model.
@@ -147,15 +154,7 @@ func (m *SelfStabModel) Root() int { return m.pr.Root }
 
 // Domain implements Model: Pif × Par × L × message-bit.
 func (m *SelfStabModel) Domain(p int) []sim.State {
-	parents := []int{selfstab.ParNone}
-	levels := []int{0}
-	if p != m.pr.Root {
-		parents = m.g.Neighbors(p)
-		levels = nil
-		for l := 1; l <= m.pr.Lmax; l++ {
-			levels = append(levels, l)
-		}
-	}
+	parents, levels := parLevels(m.g, m.pr.Root, m.pr.Lmax, p, selfstab.ParNone)
 	var out []sim.State
 	for _, pif := range []selfstab.Phase{selfstab.B, selfstab.F, selfstab.C} {
 		for _, par := range parents {
@@ -171,14 +170,7 @@ func (m *SelfStabModel) Domain(p int) []sim.State {
 
 // Kind implements Model.
 func (m *SelfStabModel) Kind(_, a int) ActionKind {
-	switch a {
-	case selfstab.ActionB:
-		return KindBroadcast
-	case selfstab.ActionF:
-		return KindFeedback
-	default:
-		return KindOther
-	}
+	return kindOf(a, selfstab.ActionB, selfstab.ActionF)
 }
 
 // Msg implements Model.

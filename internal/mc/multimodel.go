@@ -56,14 +56,7 @@ func (m *MultiModel) Domain(int) []sim.State {
 // Kind implements Model.
 func (m *MultiModel) Kind(_, a int) ActionKind {
 	_, ca := m.mp.Decode(a)
-	switch ca {
-	case core.ActionB:
-		return KindBroadcast
-	case core.ActionF:
-		return KindFeedback
-	default:
-		return KindOther
-	}
+	return kindOf(ca, core.ActionB, core.ActionF)
 }
 
 // Msg implements Model (instance 0's register).

@@ -194,13 +194,18 @@ func (ch Choice) String() string { return fmt.Sprintf("p%d/a%d", ch.Proc, ch.Act
 // EnabledChoices lists every enabled (processor, action) pair in c, in
 // ascending processor order.
 func EnabledChoices(c *Configuration, p Protocol) []Choice {
-	var out []Choice
+	return AppendEnabledChoices(nil, c, p)
+}
+
+// AppendEnabledChoices appends EnabledChoices(c, p) to dst, so a caller that
+// reuses dst across configurations allocates nothing once it has grown.
+func AppendEnabledChoices(dst []Choice, c *Configuration, p Protocol) []Choice {
 	for proc := 0; proc < c.N(); proc++ {
 		for _, a := range p.Enabled(c, proc) {
-			out = append(out, Choice{Proc: proc, Action: a})
+			dst = append(dst, Choice{Proc: proc, Action: a})
 		}
 	}
-	return out
+	return dst
 }
 
 // IsTerminal reports whether no processor is enabled in c.

@@ -122,6 +122,7 @@ go test ./internal/event/ -run TestEventZeroAllocsPerStep -count=1 -v
 go test ./internal/engine/ -run TestEngineZeroAllocsPerStep -count=1 -v
 go test ./internal/telemetry/ -run 'TestDisabledAllocs|TestEnabledSteadyStateAllocs' -count=1 -v
 go test ./internal/service/ -run TestServeTickZeroAllocs -count=1 -v
+go test ./internal/mc/ -run TestCheckerAllocsPerTransition -count=1 -v
 
 echo "== determinism (serial vs parallel, optimized vs reference) =="
 go test ./internal/sim/ -run TestRunnerMatchesReference -count=1
